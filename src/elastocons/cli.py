@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .admissibility import draw_states, extract_representation, full_report
 from .config import MODES, RunConfig, load_config
-from .constitutive import (ConstitutiveModel, State, classical_model,
+from .constitutive import (ConstitutiveModel, State, as_batched, classical_model,
                            corrupted_model, elasticity_map, stored_energy_by_name,
                            tensor_mass_model)
 from .errors import (Blowup, ConfigError, ElastoconsError, NewtonDivergence,
@@ -38,6 +38,8 @@ EXIT_SIMULATION = 4
 EXIT_CONFIG = 64
 
 _FMT = "%.17g"
+SNAPSHOT_COLUMNS = ("index,x0,x1,x2," + ",".join(f"F{i}{j}" for i in range(3) for j in range(3))
+                    + ",p0,p1,p2,v0,v1,v2,energy\n")
 
 
 def _fmt(x) -> str:
@@ -108,8 +110,7 @@ def mode_admissibility(cfg: RunConfig, out_dir: str) -> int:
 
 
 def mode_hyperbolicity(cfg: RunConfig, out_dir: str) -> int:
-    se = stored_energy_by_name(cfg.sigma, lam=cfg.lam, mu=cfg.mu)
-    report = scan_directions(elasticity_map(se), cfg.hyp_F, cfg.rho,
+    report = scan_directions(elasticity_map(build_model(cfg)), cfg.hyp_F, cfg.rho,
                              n_dirs=cfg.n_dirs)
 
     with open(os.path.join(out_dir, "hyperbolicity.csv"), "w", encoding="utf-8") as fh:
@@ -128,11 +129,7 @@ def mode_hyperbolicity(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _build_field(cfg: RunConfig, model: ConstitutiveModel) -> Field:
-    if cfg.dims == 1:
-        grid = Grid(cells=cfg.cells, h=(cfg.lengths[0] / cfg.cells[0],))
-    else:
-        grid = Grid(cells=cfg.cells,
-                    h=tuple(L / n for L, n in zip(cfg.lengths, cfg.cells)))
+    grid = Grid(cells=cfg.cells, h=tuple(L / n for L, n in zip(cfg.lengths, cfg.cells)))
     if cfg.initial_kind == "rest":
         return rest_field(grid)
     if cfg.initial_kind == "sine":
@@ -147,25 +144,20 @@ def _build_field(cfg: RunConfig, model: ConstitutiveModel) -> Field:
 
 
 def _write_snapshot(path: str, cfg: RunConfig, model: ConstitutiveModel, fld: Field):
-    pos = fld.grid.positions()
+    st = State(fld.F, fld.p)
+    n = fld.F.size // 9
+    table = np.column_stack([fld.grid.positions().reshape(n, 3), fld.F.reshape(n, 9),
+                             fld.p.reshape(n, 3), model.velocity(st).reshape(n, 3),
+                             model.energy(st).reshape(n)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header(cfg))
-        fh.write("index," + ",".join(f"x{a}" for a in range(3)) + ","
-                 + ",".join(f"F{i}{j}" for i in range(3) for j in range(3)) + ","
-                 + ",".join(f"p{i}" for i in range(3)) + ","
-                 + ",".join(f"v{i}" for i in range(3)) + ",energy\n")
-        for flat, idx in enumerate(np.ndindex(*fld.grid.cells)):
-            st = State(fld.F[idx], fld.p[idx])
-            vals = ([str(flat)] + [_fmt(x) for x in pos[idx]]
-                    + [_fmt(x) for x in fld.F[idx].ravel()]
-                    + [_fmt(x) for x in fld.p[idx]]
-                    + [_fmt(x) for x in model.velocity(st)]
-                    + [_fmt(model.energy(st))])
-            fh.write(",".join(vals) + "\n")
+        fh.write(SNAPSHOT_COLUMNS)
+        for flat, vals in enumerate(table):
+            fh.write(f"{flat}," + ",".join(map(_FMT.__mod__, vals)) + "\n")
 
 
 def mode_simulate(cfg: RunConfig, out_dir: str) -> int:
-    model = build_model(cfg)
+    model = as_batched(build_model(cfg))
     try:
         fld = _build_field(cfg, model)
         _write_snapshot(os.path.join(out_dir, "snapshot_initial.csv"), cfg, model, fld)

@@ -8,7 +8,8 @@ maps
     velocity (F, p) -> v          boundary flux of F
     stress   (F, p) -> S          Piola stress, boundary flux of p
 
-together with an optional analytic elasticity tensor dS/dF.  Builders are
+together with an optional analytic elasticity tensor dS/dF; a ``batched``
+model also takes stacks of states (see :func:`as_batched`).  Builders are
 provided for the two standard representations
 
     classical:  v = p / rho,   tau = |p|^2 / (2 rho) + sigma(F)
@@ -21,19 +22,19 @@ negative-control models that each break exactly one admissibility property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .errors import DomainError, NewtonDivergence, NonFinite, NotSymmetric, Singular
 from .tensors import EYE3, asymmetry, check_finite, outer, sym_part
-from .tolerances import DEFAULT, fd_step
+from .tolerances import DEFAULT, FD_SCALE, fd_step
 
 
 @dataclass(frozen=True)
 class State:
-    """Per-point state: deformation gradient F (3x3) and momentum p (3,).
+    """Deformation gradient F[..., 3, 3] and momentum p[..., 3] of one or many points.
 
     F is not required to be a gradient of any motion and det F may have any
     sign; individual stored energies may reject states outside their domain.
@@ -43,17 +44,20 @@ class State:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "F", np.asarray(self.F, dtype=float).reshape(3, 3))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(3))
-
-    def physical(self) -> bool:
-        """True when F is orientation-preserving."""
-        return float(np.linalg.det(self.F)) > 0.0
+        F = np.asarray(self.F, dtype=float)
+        p = np.asarray(self.p, dtype=float)
+        if F.ndim <= 2:  # one material point
+            F, p = F.reshape(3, 3), p.reshape(3)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "p", p)
 
 
 @dataclass(frozen=True)
 class StoredEnergy:
-    """Stored energy sigma(F) with optional analytic derivatives."""
+    """Stored energy sigma(F) with optional analytic derivatives.
+
+    When both derivatives are given, all three callables take stacks F[..., 3, 3].
+    """
 
     name: str
     sigma: Callable[[np.ndarray], float]
@@ -71,6 +75,7 @@ class ConstitutiveModel:
     velocity: Callable[[State], np.ndarray]
     stress: Callable[[State], np.ndarray]
     analytic_S4: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    batched: bool = False  # all four callables exist and take stacked states
 
 
 @dataclass(frozen=True)
@@ -114,12 +119,12 @@ def linear_isotropic(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
 
     def sigma(F):
         eps = sym_part(F) - EYE3
-        tr = float(np.trace(eps))
-        return 0.5 * lam * tr * tr + mu * float(np.sum(eps * eps))
+        tr = eps.trace(0, -2, -1)
+        return 0.5 * lam * tr * tr + mu * (eps * eps).sum((-2, -1))
 
     def stress(F):
         eps = sym_part(F) - EYE3
-        return lam * np.trace(eps) * EYE3 + 2.0 * mu * eps
+        return (lam * eps.trace(0, -2, -1))[..., None, None] * EYE3 + 2.0 * mu * eps
 
     S4 = (lam * np.einsum("ij,hk->ijhk", EYE3, EYE3)
           + mu * (np.einsum("ih,jk->ijhk", EYE3, EYE3)
@@ -130,7 +135,7 @@ def linear_isotropic(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         name="linear_isotropic",
         sigma=sigma,
         analytic_stress=stress,
-        analytic_elasticity=lambda F: S4,
+        analytic_elasticity=lambda F: np.broadcast_to(S4, np.shape(F)[:-2] + S4.shape),
         parameters={"lambda": lam, "mu": mu},
     )
 
@@ -139,28 +144,29 @@ def st_venant_kirchhoff(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
     """Quadratic energy in the Green strain E = (F^T F - 1)/2."""
 
     def green(F):
-        return 0.5 * (F.T @ F - EYE3)
+        return 0.5 * (F.swapaxes(-1, -2) @ F - EYE3)
+
+    def second_piola(E):
+        return (lam * E.trace(0, -2, -1))[..., None, None] * EYE3 + 2.0 * mu * E
 
     def sigma(F):
         F = np.asarray(F, dtype=float)
         E = green(F)
-        tr = float(np.trace(E))
-        return 0.5 * lam * tr * tr + mu * float(np.sum(E * E))
+        tr = E.trace(0, -2, -1)
+        return 0.5 * lam * tr * tr + mu * (E * E).sum((-2, -1))
 
     def stress(F):
         F = np.asarray(F, dtype=float)
-        E = green(F)
-        return F @ (lam * np.trace(E) * EYE3 + 2.0 * mu * E)
+        return F @ second_piola(green(F))
 
     def elasticity(F):
         F = np.asarray(F, dtype=float)
-        E = green(F)
-        C2 = lam * np.trace(E) * EYE3 + 2.0 * mu * E
-        FFt = F @ F.T
-        S4 = np.einsum("ih,kj->ijhk", EYE3, C2)
-        S4 += lam * np.einsum("ij,hk->ijhk", F, F)
-        S4 += mu * np.einsum("ik,hj->ijhk", F, F)
-        S4 += mu * np.einsum("ih,jk->ijhk", FFt, EYE3)
+        C2 = second_piola(green(F))
+        FFt = F @ F.swapaxes(-1, -2)
+        S4 = np.einsum("ih,...kj->...ijhk", EYE3, C2)
+        S4 += lam * np.einsum("...ij,...hk->...ijhk", F, F)
+        S4 += mu * np.einsum("...ik,...hj->...ijhk", F, F)
+        S4 += mu * np.einsum("...ih,jk->...ijhk", FFt, EYE3)
         return S4
 
     return StoredEnergy(
@@ -179,30 +185,34 @@ def neo_hookean(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
     """
 
     def _logdet(F):
-        J = float(np.linalg.det(F))
-        if J <= 0.0:
-            raise DomainError(f"neo-Hookean energy requires det F > 0, got {J:.3e}")
+        J = np.linalg.det(F)
+        bad = J <= 0.0
+        if bad.any() if bad.ndim else bad:  # a single state skips the array round trip
+            raise DomainError(f"neo-Hookean energy requires det F > 0, got {np.min(J):.3e}")
         return np.log(J)
 
     def sigma(F):
         F = np.asarray(F, dtype=float)
         lnJ = _logdet(F)
-        return 0.5 * mu * (float(np.sum(F * F)) - 3.0) - mu * lnJ + 0.5 * lam * lnJ * lnJ
+        return 0.5 * mu * ((F * F).sum((-2, -1)) - 3.0) - mu * lnJ + 0.5 * lam * lnJ * lnJ
 
     def stress(F):
         F = np.asarray(F, dtype=float)
-        lnJ = _logdet(F)
-        FinvT = np.linalg.inv(F).T
-        return mu * F + (lam * lnJ - mu) * FinvT
+        c = lam * _logdet(F) - mu
+        FinvT = np.linalg.inv(F).swapaxes(-1, -2)
+        return mu * F + (c * FinvT if F.ndim == 2 else c[..., None, None] * FinvT)
+
+    I4 = mu * np.einsum("ih,jk->ijhk", EYE3, EYE3)
 
     def elasticity(F):
         F = np.asarray(F, dtype=float)
         lnJ = _logdet(F)
         Finv = np.linalg.inv(F)
-        FinvT = Finv.T
-        S4 = mu * np.einsum("ih,jk->ijhk", EYE3, EYE3)
-        S4 += lam * np.einsum("ij,hk->ijhk", FinvT, FinvT)
-        S4 -= (lam * lnJ - mu) * np.einsum("jh,ki->ijhk", Finv, Finv)
+        FinvT = Finv.swapaxes(-1, -2)
+        S4 = (lam * FinvT)[..., :, :, None, None] * FinvT[..., None, None, :, :]
+        S4 += I4
+        c = (lam * lnJ - mu)[..., None, None] * FinvT
+        S4 -= c[..., :, None, None, :] * Finv[..., None, :, :, None]  # c_ik Finv_jh
         return S4
 
     return StoredEnergy(
@@ -218,9 +228,9 @@ def zero_energy() -> StoredEnergy:
     """Degenerate sigma = 0 (stress-free for every F)."""
     return StoredEnergy(
         name="zero",
-        sigma=lambda F: 0.0,
-        analytic_stress=lambda F: np.zeros((3, 3)),
-        analytic_elasticity=lambda F: np.zeros((3, 3, 3, 3)),
+        sigma=lambda F: np.zeros(np.shape(F)[:-2]),
+        analytic_stress=lambda F: np.zeros(np.shape(F)),
+        analytic_elasticity=lambda F: np.zeros(np.shape(F) + (3, 3)),
     )
 
 
@@ -296,15 +306,25 @@ def elasticity_map(model_or_se) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def fd_velocity_jacobian(model: ConstitutiveModel, F, p, step: float | None = None) -> np.ndarray:
-    """N[i, h] = d velocity_i / d p_h by central differences."""
+    """N[..., i, h] = d velocity_i / d p_h by central differences.
+
+    Takes one state or, for a batched model, stacks F[..., 3, 3], p[..., 3];
+    each state gets its own step.
+    """
     F = np.asarray(F, dtype=float)
     p = np.asarray(p, dtype=float)
-    h = fd_step(p) if step is None else step
-    N = np.empty((3, 3))
+    if step is not None:
+        h = step
+    elif p.ndim == 1:
+        h = fd_step(p)
+    else:
+        h = FD_SCALE * np.maximum(1.0, np.linalg.norm(p, axis=-1))
+    N = np.empty(p.shape + (3,))
     for k in range(3):
-        dp = np.zeros(3)
-        dp[k] = h
-        N[:, k] = (model.velocity(State(F, p + dp)) - model.velocity(State(F, p - dp))) / (2.0 * h)
+        dp = np.zeros(p.shape)
+        dp[..., k] = h
+        N[..., k] = model.velocity(State(F, p + dp)) - model.velocity(State(F, p - dp))
+    N /= 2.0 * np.asarray(h)[..., None, None]
     return check_finite(N, "velocity jacobian")
 
 
@@ -325,10 +345,13 @@ def classical_model(rho: float, se: StoredEnergy) -> ConstitutiveModel:
     stress = _stress_from(se)
     return ConstitutiveModel(
         name=f"classical(rho={rho:g},{se.name})",
-        energy=lambda s: float(s.p @ s.p) / (2.0 * rho) + se.sigma(s.F),
+        # p.p as row times column: for one state, the same bits as a plain dot product
+        energy=lambda s: ((s.p[..., None, :] @ s.p[..., :, None])[..., 0, 0] / (2.0 * rho)
+                          + se.sigma(s.F)),
         velocity=lambda s: s.p / rho,
         stress=lambda s: stress(s.F),
         analytic_S4=se.analytic_elasticity,
+        batched=None not in (se.analytic_stress, se.analytic_elasticity),
     )
 
 
@@ -338,15 +361,39 @@ def tensor_mass_model(V, se: StoredEnergy) -> ConstitutiveModel:
     V must be symmetric (to the central symmetry tolerance) and invertible.
     """
     mdt = MassDensityTensor.from_V(V)  # raises NotSymmetric / Singular
-    Vm = mdt.V
+    VmT = mdt.V.T.copy()  # p @ VmT is V p for a single p or a stack
     stress = _stress_from(se)
     return ConstitutiveModel(
         name=f"tensor_mass({se.name})",
-        energy=lambda s: 0.5 * float(s.p @ (Vm @ s.p)) + se.sigma(s.F),
-        velocity=lambda s: Vm @ s.p,
+        energy=lambda s: 0.5 * (s.p * (s.p @ VmT)).sum(-1) + se.sigma(s.F),
+        velocity=lambda s: s.p @ VmT,
         stress=lambda s: stress(s.F),
         analytic_S4=se.analytic_elasticity,
+        batched=None not in (se.analytic_stress, se.analytic_elasticity),
     )
+
+
+def as_batched(model: ConstitutiveModel) -> ConstitutiveModel:
+    """The model if it is batched, else an adapter that loops it over stacks.
+
+    The adapter lets pointwise black boxes such as the negative controls run
+    on whole fields; its S4 is the model's (possibly finite-difference) map.
+    """
+    if model.batched:
+        return model
+
+    def each(fn, of_states=True):
+        def call(x):
+            lead = x.p.shape[:-1] if of_states else np.shape(x)[:-2]
+            items = (map(State, x.F.reshape(-1, 3, 3), x.p.reshape(-1, 3)) if of_states
+                     else np.reshape(x, (-1, 3, 3)))
+            out = np.array([fn(y) for y in items])
+            return out.reshape(lead + out.shape[1:])
+        return call
+
+    return replace(model, energy=each(model.energy), velocity=each(model.velocity),
+                   stress=each(model.stress), analytic_S4=each(elasticity_map(model), False),
+                   batched=True)
 
 
 def momentum_from_velocity(model: ConstitutiveModel, F, v,
@@ -355,22 +402,28 @@ def momentum_from_velocity(model: ConstitutiveModel, F, v,
                            max_iter: int | None = None) -> np.ndarray:
     """Invert the velocity map at fixed F by damped Newton iteration.
 
-    Solves velocity(F, p) = v for p.  The Jacobian is the finite-difference
-    N matrix; steps are halved while they increase the residual.  The default
-    seed p0 = v is exact for unit mass density and harmless otherwise.
+    Solves velocity(F, p) = v for p, at one state or, for a batched model, at
+    every state of stacks F[..., 3, 3], v[..., 3].  The Jacobian is the
+    finite-difference N matrix; each state's step is halved while it increases
+    that state's residual.  The default seed p0 = v is exact for unit mass
+    density and harmless otherwise.
 
     Raises
     ------
     NewtonDivergence
         If the velocity residual is not reduced below tolerance within the
-        iteration budget.
+        iteration budget; for stacks the message names the first such state.
     """
     F = np.asarray(F, dtype=float)
     v = np.asarray(v, dtype=float)
     tol = DEFAULT.newton_tol if tol is None else tol
     max_iter = DEFAULT.newton_max_iter if max_iter is None else max_iter
 
-    p = v.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
+    p = v.copy() if p0 is None else np.array(p0, dtype=float)
+    if v.ndim > 1:
+        return _momentum_of_stack(model, F, v, p, tol, max_iter)
+    # One state: plain scalar tests.  The masked stack loop costs about 30% more
+    # per single-state call, which the admissibility probes would pay.
     r = model.velocity(State(F, p)) - v
     rn = float(np.linalg.norm(r))
     for _ in range(max_iter):
@@ -381,15 +434,13 @@ def momentum_from_velocity(model: ConstitutiveModel, F, v,
             step = np.linalg.solve(N, -r)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(N, -r, rcond=None)
-        t = 1.0
-        while True:
-            cand = p + t * step
+        for k in range(15):  # t = 1, 1/2, ..., 2**-14 < 1e-4
+            cand = p + 0.5 ** k * step
             r_new = model.velocity(State(F, cand)) - v
             rn_new = float(np.linalg.norm(r_new))
-            if rn_new < rn or t < 1e-4:
+            if rn_new < rn:
                 break
-            t *= 0.5
-        if rn_new >= rn:
+        else:
             raise NewtonDivergence(
                 f"residual stalled at {rn:.3e} (tol {tol:.1e}) for model {model.name}")
         p, r, rn = cand, r_new, rn_new
@@ -397,6 +448,41 @@ def momentum_from_velocity(model: ConstitutiveModel, F, v,
         return p
     raise NewtonDivergence(
         f"residual {rn:.3e} above tol {tol:.1e} after {max_iter} iterations")
+
+
+def _momentum_of_stack(model, F, v, p, tol, max_iter):
+    """:func:`momentum_from_velocity` on stacks; each state halves its own step."""
+
+    def residual(q):
+        r = model.velocity(State(F, q)) - v
+        return r, np.linalg.norm(r, axis=-1)
+
+    r, rn = residual(p)
+    for it in range(max_iter + 1):
+        live = rn > tol
+        if not live.any():
+            return p
+        if it == max_iter:
+            i = np.flatnonzero(live)[0]
+            raise NewtonDivergence(f"state {i}: residual {rn.flat[i]:.3e} above "
+                                   f"tol {tol:.1e} after {max_iter} iterations")
+        N = fd_velocity_jacobian(model, F, p)
+        try:
+            step = np.linalg.solve(N, -r[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = (np.linalg.pinv(N) @ -r[..., None])[..., 0]
+        worse, cand = live, p
+        for k in range(15):  # t = 1, 1/2, ..., 2**-14 < 1e-4; converged states stay put
+            cand = np.where(worse[..., None], p + 0.5 ** k * step, cand)
+            r_new, rn_new = residual(cand)
+            worse = live & (rn_new >= rn)
+            if not worse.any():
+                break
+        else:
+            i = np.flatnonzero(worse)[0]
+            raise NewtonDivergence(f"state {i}: residual stalled at {rn.flat[i]:.3e} "
+                                   f"(tol {tol:.1e}) for model {model.name}")
+        p, r, rn = cand, r_new, rn_new
 
 
 # ---------------------------------------------------------------------------

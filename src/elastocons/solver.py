@@ -4,12 +4,12 @@ The system
 
     dF/dt = Div(v (x) 1),    dp/dt = Div S,    v and S from a constitutive model
 
-is advanced on periodic grids (1-D at full fidelity, 3-D at smoke scale) with
-a local Lax-Friedrichs (Rusanov) scheme: first order, monotone, and honest
-about its dissipation, which the monitors are designed to expose.  Monitored
-quantities per sample: total energy and its drift (the periodic boundary flux
-term vanishes identically), the curl-type compatibility residual of F, and
-the pointwise defect of the energy rate identity
+is advanced on periodic 1-D or 3-D grids, with whole-field constitutive
+calls, by a local Lax-Friedrichs (Rusanov) scheme: first order, monotone, and
+honest about its dissipation, which the monitors are designed to expose.
+Monitored quantities per sample: total energy and its drift (the periodic
+boundary flux term vanishes identically), the curl-type compatibility
+residual of F, and the pointwise defect of the energy rate identity
 d tau/dt = S : dF/dt + v . dp/dt along the discrete trajectory.
 """
 
@@ -19,12 +19,13 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .constitutive import (ConstitutiveModel, State, elasticity_map,
+from .constitutive import (ConstitutiveModel, State, as_batched, elasticity_map,
                            fd_velocity_jacobian, momentum_from_velocity)
 from .errors import Blowup, NonHyperbolicState
 from .tensors import EYE3, outer
 
 BLOWUP_NORM = 1e12
+CELL_BLOCK = 128  # cells per S4 evaluation: a (128, 3, 3, 3, 3) stack is 83 kB
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +92,6 @@ class Field:
     t: float = 0.0
     valid: bool = True
 
-    def copy(self) -> "Field":
-        return Field(grid=self.grid, F=self.F.copy(), p=self.p.copy(),
-                     t=self.t, valid=self.valid)
-
     def finite(self) -> bool:
         return bool(np.all(np.isfinite(self.F)) and np.all(np.isfinite(self.p)))
 
@@ -104,48 +101,32 @@ class Field:
 # ---------------------------------------------------------------------------
 
 def flux(model: ConstitutiveModel, U: State):
-    """Conservative fluxes of one state, all three axes.
+    """Conservative fluxes of a state or a stack of states, all three axes.
 
     Returns (flux_F, flux_p) with flux_F[a] = -outer(v, e_a) (the axis-a slice
-    of -v (x) 1) and flux_p[a] = -S e_a.
+    of -v (x) 1) and flux_p[a] = -S e_a, each stacked like U.  Stacks need a
+    batched model (see :func:`as_batched`).
     """
     v = model.velocity(U)
     S = model.stress(U)
-    flux_F = np.zeros((3, 3, 3))
-    flux_p = np.zeros((3, 3))
+    flux_F = np.zeros((3,) + S.shape)
     for a in range(3):
-        e = np.zeros(3)
-        e[a] = 1.0
-        flux_F[a] = -outer(v, e)
-        flux_p[a] = -S[:, a]
-    return flux_F, flux_p
-
-
-def _evaluate_vs(model: ConstitutiveModel, fld: Field):
-    shape = fld.grid.cells
-    v = np.empty(shape + (3,))
-    S = np.empty(shape + (3, 3))
-    for idx in np.ndindex(*shape):
-        st = State(fld.F[idx], fld.p[idx])
-        v[idx] = model.velocity(st)
-        S[idx] = model.stress(st)
-    return v, S
+        flux_F[a, ..., :, a] = -v
+    return flux_F, -np.moveaxis(S, -1, 0)
 
 
 # ---------------------------------------------------------------------------
 # Wave-speed estimation
 # ---------------------------------------------------------------------------
 
-def _velocity_coefficient_root(model: ConstitutiveModel, fld: Field) -> np.ndarray:
-    """Symmetric square root of d(velocity)/dp, sampled at one cell.
+def _velocity_coefficient_root(model: ConstitutiveModel, F, p) -> np.ndarray:
+    """Symmetric square root of d(velocity)/dp at the first state of (F, p).
 
     For admissible models the velocity coefficient is a state-independent
     symmetric positive tensor, so one sample suffices.
     """
-    idx = (0,) * fld.grid.dims
-    N = fd_velocity_jacobian(model, fld.F[idx], fld.p[idx])
-    Ns = 0.5 * (N + N.T)
-    evals, evecs = np.linalg.eigh(Ns)
+    N = fd_velocity_jacobian(model, np.reshape(F, (-1, 3, 3))[0], np.reshape(p, (-1, 3))[0])
+    evals, evecs = np.linalg.eigh(0.5 * (N + N.T))
     if float(evals.min()) <= 0.0:
         raise NonHyperbolicState(
             f"velocity coefficient not positive definite (eigenvalues {evals})")
@@ -155,35 +136,30 @@ def _velocity_coefficient_root(model: ConstitutiveModel, fld: Field) -> np.ndarr
 def _cell_speeds(model: ConstitutiveModel, fld: Field, vroot: np.ndarray) -> np.ndarray:
     """Max characteristic speed per cell and active axis, shape cells + (dims,).
 
-    Speeds come from the spectrum of V^(1/2) E(e_a) V^(1/2); a negative
-    acoustic eigenvalue beyond roundoff means the state left the hyperbolic
-    region and stepping is refused.
+    Speeds come from the spectrum of V^(1/2) E(e_a) V^(1/2), CELL_BLOCK cells
+    at a time; a negative acoustic eigenvalue beyond roundoff means the state
+    left the hyperbolic region and stepping is refused.
     """
     g = fld.grid
-    n = int(np.prod(g.cells))
-    S4_fn = elasticity_map(model)
-    S4_all = np.empty((n, 3, 3, 3, 3))
-    for m, idx in enumerate(np.ndindex(*g.cells)):
-        S4_all[m] = S4_fn(fld.F[idx])
-    speeds = np.empty(g.cells + (g.dims,))
-    for ax in range(g.dims):
-        w = np.zeros(3)
-        w[ax] = 1.0
-        E = np.einsum("cijhk,j,k->cih", S4_all, w, w)
-        G = np.einsum("ab,cbd,de->cae", vroot, E, vroot)
-        G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
-        eigs = np.linalg.eigvalsh(G)
-        scale = max(1.0, float(np.abs(eigs).max()))
-        if float(eigs.min()) < -1e-10 * scale:
-            raise NonHyperbolicState(
-                f"negative acoustic eigenvalue {eigs.min():.3e} along axis {ax}")
-        speeds[..., ax] = np.sqrt(np.clip(eigs[:, -1], 0.0, None)).reshape(g.cells)
-    return speeds
+    F = fld.F.reshape(-1, 3, 3)
+    lo, hi = np.empty((2, len(F), g.dims))  # smallest and largest acoustic eigenvalues
+    for start in range(0, len(F), CELL_BLOCK):
+        block = slice(start, start + CELL_BLOCK)
+        S4 = model.analytic_S4(F[block])
+        for ax in range(g.dims):
+            G = vroot @ S4[:, :, ax, :, ax] @ vroot  # V^(1/2) E(e_ax) V^(1/2)
+            eigs = np.linalg.eigvalsh(0.5 * (G + G.swapaxes(-1, -2)))
+            lo[block, ax], hi[block, ax] = eigs[:, 0], eigs[:, -1]
+    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)).max(axis=0))
+    bad = np.flatnonzero(lo.min(axis=0) < -1e-10 * scale)
+    if bad.size:
+        raise NonHyperbolicState(
+            f"negative acoustic eigenvalue {lo[:, bad[0]].min():.3e} along axis {bad[0]}")
+    return np.sqrt(np.clip(hi, 0.0, None)).reshape(g.cells + (g.dims,))
 
 
-def _time_step(grid: Grid, speeds: np.ndarray, cfl: float, safety: float = 1.0) -> float:
-    denom = sum(safety * float(speeds[..., ax].max()) / grid.h[ax]
-                for ax in range(grid.dims))
+def _time_step(grid: Grid, speeds: np.ndarray, cfl: float) -> float:
+    denom = sum(float(speeds[..., ax].max()) / grid.h[ax] for ax in range(grid.dims))
     if denom <= 0.0:
         raise NonHyperbolicState("maximum wave speed is zero; nothing can propagate")
     return cfl / denom
@@ -196,24 +172,15 @@ def _time_step(grid: Grid, speeds: np.ndarray, cfl: float, safety: float = 1.0) 
 def _apply_step(model: ConstitutiveModel, fld: Field, dt: float,
                 speeds: np.ndarray) -> Field:
     g = fld.grid
-    v_all, S_all = _evaluate_vs(model, fld)
-    F_new = fld.F.copy()
-    p_new = fld.p.copy()
+    flux_F, flux_p = flux(model, State(fld.F, fld.p))
+    F_new, p_new = fld.F.copy(), fld.p.copy()
     for ax in range(g.dims):
-        fF = np.zeros_like(fld.F)
-        fF[..., :, ax] = -v_all
-        fp = -S_all[..., :, ax]
-
         c = speeds[..., ax]
         alpha = np.maximum(c, np.roll(c, -1, axis=ax))
-
-        dUF = np.roll(fld.F, -1, axis=ax) - fld.F
-        dUp = np.roll(fld.p, -1, axis=ax) - fld.p
-        hat_F = 0.5 * (fF + np.roll(fF, -1, axis=ax)) - 0.5 * alpha[..., None, None] * dUF
-        hat_p = 0.5 * (fp + np.roll(fp, -1, axis=ax)) - 0.5 * alpha[..., None] * dUp
-
-        F_new -= (dt / g.h[ax]) * (hat_F - np.roll(hat_F, 1, axis=ax))
-        p_new -= (dt / g.h[ax]) * (hat_p - np.roll(hat_p, 1, axis=ax))
+        for U, U_new, f in ((fld.F, F_new, flux_F[ax]), (fld.p, p_new, flux_p[ax])):
+            a = alpha.reshape(alpha.shape + (1,) * (U.ndim - g.dims))
+            hat = 0.5 * (f + np.roll(f, -1, axis=ax)) - 0.5 * a * (np.roll(U, -1, axis=ax) - U)
+            U_new -= (dt / g.h[ax]) * (hat - np.roll(hat, 1, axis=ax))
     return Field(grid=g, F=F_new, p=p_new, t=fld.t + dt)
 
 
@@ -221,8 +188,8 @@ def step_lax_friedrichs(model: ConstitutiveModel, fld: Field, cfl: float) -> Fie
     """One explicit step with dt from the CFL condition on sampled speeds."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must be in (0, 1], got {cfl}")
-    vroot = _velocity_coefficient_root(model, fld)
-    speeds = _cell_speeds(model, fld, vroot)
+    model = as_batched(model)
+    speeds = _cell_speeds(model, fld, _velocity_coefficient_root(model, fld.F, fld.p))
     dt = _time_step(fld.grid, speeds, cfl)
     return _apply_step(model, fld, dt, speeds)
 
@@ -232,10 +199,8 @@ def step_lax_friedrichs(model: ConstitutiveModel, fld: Field, cfl: float) -> Fie
 # ---------------------------------------------------------------------------
 
 def total_energy(model: ConstitutiveModel, fld: Field) -> float:
-    """Cell sum of the energy density times cell volume."""
-    dv = fld.grid.cell_volume
-    return dv * sum(model.energy(State(fld.F[idx], fld.p[idx]))
-                    for idx in np.ndindex(*fld.grid.cells))
+    """Cell sum of the energy density times cell volume (batched model)."""
+    return fld.grid.cell_volume * float(model.energy(State(fld.F, fld.p)).sum())
 
 
 def total_momentum(fld: Field) -> np.ndarray:
@@ -279,18 +244,15 @@ def dissipation_residual(model: ConstitutiveModel, before: Field, after: Field,
 
     Stress and velocity are evaluated at the midpoint state, so the residual
     vanishes to second order in dt for smooth trajectories; what remains is
-    the scheme's own dissipation plus chain-rule truncation.
+    the scheme's own dissipation plus chain-rule truncation.  The model must
+    be batched (see :func:`as_batched`).
     """
-    worst = 0.0
-    for idx in np.ndindex(*before.grid.cells):
-        Fb, pb = before.F[idx], before.p[idx]
-        Fa, pa = after.F[idx], after.p[idx]
-        mid = State(0.5 * (Fb + Fa), 0.5 * (pb + pa))
-        tau_rate = (model.energy(State(Fa, pa)) - model.energy(State(Fb, pb))) / dt
-        work = (float(np.sum(model.stress(mid) * (Fa - Fb)))
-                + float(model.velocity(mid) @ (pa - pb))) / dt
-        worst = max(worst, abs(tau_rate - work))
-    return worst
+    mid = State(0.5 * (before.F + after.F), 0.5 * (before.p + after.p))
+    tau_rate = (model.energy(State(after.F, after.p))
+                - model.energy(State(before.F, before.p))) / dt
+    work = ((model.stress(mid) * (after.F - before.F)).sum((-2, -1))
+            + (model.velocity(mid) * (after.p - before.p)).sum(-1)) / dt
+    return float(np.abs(tau_rate - work).max())
 
 
 @dataclass
@@ -315,19 +277,16 @@ class MonitorTrace:
         self.dissipation.append(float(dissip))
 
     def rows(self):
-        for i in range(len(self.steps)):
-            yield (self.steps[i], self.times[i], self.energy[i],
-                   self.boundary_flux[i], self.energy_drift[i],
-                   self.involution[i], self.dissipation[i])
-
+        return zip(self.steps, self.times, self.energy, self.boundary_flux,
+                   self.energy_drift, self.involution, self.dissipation)
 
 def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
         monitor_every: int = 1):
-    """Advance to t_end, sampling monitors every ``monitor_every`` steps.
+    """Advance to t_end, sampling monitors every ``monitor_every`` steps and at the end.
 
-    In 1-D the wave speeds are re-estimated every step; in 3-D every ten
-    steps with a 1.2 safety factor on the time step.  Raises Blowup when any
-    state norm exceeds 1e12 or a value goes non-finite.
+    Every step recomputes the wave speeds of every cell and takes exactly
+    dt = cfl / sum_a (max c_a / h_a), with no safety factor.  Raises Blowup
+    when any state norm exceeds 1e12 or a value goes non-finite.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -336,22 +295,19 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
     if monitor_every < 1:
         raise ValueError("monitor_every must be >= 1")
 
+    model = as_batched(model)
     trace = MonitorTrace()
     energy0 = total_energy(model, fld)
     trace.record(0, fld.t, energy0, energy0, involution_residual(fld), 0.0)
 
-    recompute_every = 1 if fld.grid.dims == 1 else 10
-    safety = 1.0 if fld.grid.dims == 1 else 1.2
-    vroot = _velocity_coefficient_root(model, fld)
-    speeds = None
+    vroot = _velocity_coefficient_root(model, fld.F, fld.p)
     step = 0
     t_stop = t_end * (1.0 - 1e-12)
     while fld.t < t_stop:
-        if speeds is None or step % recompute_every == 0:
-            speeds = _cell_speeds(model, fld, vroot)
-        dt = min(_time_step(fld.grid, speeds, cfl, safety), t_end - fld.t)
-        monitored = (step % monitor_every == 0)
-        before = fld.copy() if monitored else None
+        speeds = _cell_speeds(model, fld, vroot)
+        dt = min(_time_step(fld.grid, speeds, cfl), t_end - fld.t)
+        monitored = step % monitor_every == 0 or fld.t + dt >= t_stop
+        before = fld  # _apply_step returns a new field and leaves this one alone
 
         fld = _apply_step(model, fld, dt, speeds)
         step += 1
@@ -361,14 +317,10 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
             fld.valid = False
             raise Blowup(f"field norm exploded at t = {fld.t:.6g} (step {step})")
 
-        final = fld.t >= t_stop
-        if monitored or final:
-            if before is None:
-                dis = float("nan")
-            else:
-                dis = dissipation_residual(model, before, fld, dt)
+        if monitored:
             trace.record(step, fld.t, total_energy(model, fld), energy0,
-                         involution_residual(fld), dis)
+                         involution_residual(fld),
+                         dissipation_residual(model, before, fld, dt))
     return fld, trace
 
 
@@ -378,10 +330,7 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
 
 def rest_field(grid: Grid) -> Field:
     """Undeformed, momentum-free field."""
-    F = np.broadcast_to(EYE3, grid.cells + (3, 3)).copy()
-    p = np.zeros(grid.cells + (3,))
-    return Field(grid=grid, F=F, p=p)
-
+    return uniform_field(grid, EYE3, np.zeros(3))
 
 def uniform_field(grid: Grid, F0, p0) -> Field:
     F = np.broadcast_to(np.asarray(F0, dtype=float), grid.cells + (3, 3)).copy()
@@ -394,38 +343,22 @@ def affine_initial_field(model: ConstitutiveModel, grid: Grid, A, B, a, b, c,
     """Cell-centered sampling of affine initial data.
 
     F(x) = A + (a . (x - x0)) outer(b, a),  v(x) = B (x - x0) + c; the
-    momentum field is obtained by inverting the model's velocity map cell by
-    cell.  The data is not periodic, so the wrap seam carries a jump; cells
-    away from the seam see smooth affine fields.
+    momentum field is obtained by inverting the model's velocity map in all
+    cells at once.  The data is not periodic, so the wrap seam carries a jump;
+    cells away from the seam see smooth affine fields.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    pos = grid.positions()
-    ba = outer(b, a)
-    F = np.empty(grid.cells + (3, 3))
-    p = np.empty(grid.cells + (3,))
-    p_prev = None
-    for idx in np.ndindex(*grid.cells):
-        xr = pos[idx] - x0
-        F[idx] = A + float(a @ xr) * ba
-        v = B @ xr + c
-        p[idx] = momentum_from_velocity(model, F[idx], v, p0=p_prev)
-        p_prev = p[idx]
+    A, B, a, b, c, x0 = (np.asarray(x, dtype=float) for x in (A, B, a, b, c, x0))
+    xr = grid.positions() - x0
+    F = A + (xr @ a)[..., None, None] * outer(b, a)
+    p = momentum_from_velocity(as_batched(model), F, xr @ B.T + c)
     return Field(grid=grid, F=F, p=p)
 
 
 def plane_wave_speed(model: ConstitutiveModel, F0, w, d) -> float:
     """Characteristic speed of the acoustic mode closest to polarization d."""
-    S4 = elasticity_map(model)(np.asarray(F0, dtype=float))
-    E = np.einsum("ijhk,j,k->ih", S4, w, w)
-    ref = rest_field(Grid.line(4, 1.0))
-    vroot = _velocity_coefficient_root(model, Field(
-        grid=ref.grid, F=np.broadcast_to(np.asarray(F0, float), (4, 3, 3)).copy(),
-        p=ref.p))
+    F0 = np.asarray(F0, dtype=float)
+    E = np.einsum("ijhk,j,k->ih", elasticity_map(model)(F0), w, w)
+    vroot = _velocity_coefficient_root(model, F0, np.zeros(3))
     G = vroot @ E @ vroot
     evals, evecs = np.linalg.eigh(0.5 * (G + G.T))
     if float(evals.min()) < 0.0:
@@ -459,17 +392,9 @@ def sine_wave_field(model: ConstitutiveModel, grid: Grid, polarization: str,
     L = grid.lengths[axis]
     k = 2.0 * np.pi / L
     pos = grid.positions()
-    s = amplitude * np.sin(k * pos[..., axis])
-
-    F = np.empty(grid.cells + (3, 3))
-    p = np.empty(grid.cells + (3,))
-    de = outer(d, e_ax)
-    p_prev = None
-    for idx in np.ndindex(*grid.cells):
-        F[idx] = EYE3 + s[idx] * de
-        v = -c * s[idx] * d
-        p[idx] = momentum_from_velocity(model, F[idx], v, p0=p_prev)
-        p_prev = p[idx]
+    s = amplitude * np.sin(k * pos[..., axis])[..., None]
+    F = EYE3 + s[..., None] * outer(d, e_ax)
+    p = momentum_from_velocity(as_batched(model), F, -c * s * d)
     return Field(grid=grid, F=F, p=p)
 
 

@@ -1,8 +1,8 @@
 """Dense tensor algebra in three dimensions.
 
-Vectors are numpy arrays of shape (3,), second-order tensors (3, 3), and
-fourth-order tensors (3, 3, 3, 3).  Everything here is a pure function of its
-inputs; nothing is mutated.
+Vectors are numpy arrays of shape (3,), second-order tensors (3, 3) (stacks
+of them for ``sym_part``), and fourth-order tensors (3, 3, 3, 3).  Everything
+here is a pure function of its inputs; nothing is mutated.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from .errors import ConvergenceFailure, NonFinite, NotSymmetric
 from .tolerances import DEFAULT
 
 EYE3 = np.eye(3)
-
-#: Orthonormal basis vectors e_0, e_1, e_2.
-BASIS = tuple(np.eye(3)[i] for i in range(3))
 
 
 def outer(a, b) -> np.ndarray:
@@ -45,7 +42,7 @@ def check_finite(arr, what="tensor"):
 
 def sym_part(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def asymmetry(M) -> float:

@@ -187,3 +187,29 @@ def test_cli_seed_override_recorded(tmp_path):
     with open(os.path.join(out, "admissibility.csv"), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines[2] == "# seed=555"
+
+
+def test_cli_hyperbolicity_scans_the_built_model(tmp_path):
+    # the ellipticity control has zero stored energy, so its acoustic tensor
+    # vanishes in every direction: the scan must fail even though the
+    # configured sigma on its own is strongly elliptic
+    tmp = str(tmp_path)
+    text = FAST_ALL.replace("sigma = linear_isotropic",
+                            "sigma = linear_isotropic\ncorruption = ellipticity")
+    cfgp = _write(tmp, text)
+    out = os.path.join(tmp, "out")
+    code = main(["--config", cfgp, "--mode", "hyperbolicity", "--out", out, "--quiet"])
+    assert code == 3
+
+
+def test_cli_monitors_have_no_nan(tmp_path):
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, FAST_ALL)
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--mode", "simulate", "--out", out, "--quiet"]) == 0
+    with open(os.path.join(out, "monitors.csv"), encoding="utf-8") as fh:
+        rows = [line for line in fh.read().splitlines()
+                if not line.startswith("#") and not line.startswith("step")]
+    # rows follow steps 0 and 4, 8, ... of monitor_every = 4, plus the final one
+    assert (int(rows[-1].split(",")[0]) - 1) % 4 != 0
+    assert all(np.isfinite(float(x)) for row in rows for x in row.split(","))
