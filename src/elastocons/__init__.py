@@ -17,7 +17,7 @@ package provides
 
 __version__ = "0.1.0"
 
-from .tensors import apply4, eig_general, eig_sym, identity4, outer
+from .tensors import apply4, eig_general, eig_sym, outer
 from .constitutive import (ConstitutiveModel, MassDensityTensor, State,
                            StoredEnergy, as_batched, classical_model,
                            corrupted_model, elasticity_map, fd_elasticity_tensor,
@@ -32,7 +32,7 @@ from .admissibility import (AdmissibilityReport, RepresentationResult,
                             extract_representation, find_dissipation_violation,
                             full_report, initial_rate_check)
 from .hyperbolicity import (AcousticTensor, HyperbolicityReport,
-                            acoustic_tensor, baseline_directions,
+                            acoustic_spectrum, acoustic_tensor, baseline_directions,
                             eigenstructure, ellipticity_loss_bisection,
                             fibonacci_sphere, flux_jacobian,
                             min_acoustic_eigenvalue, scan_directions)

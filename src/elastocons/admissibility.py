@@ -32,8 +32,6 @@ from .errors import FitDegenerate, NewtonDivergence, NotUnit, PreconditionFailur
 from .tensors import EYE3, check_finite
 from .tolerances import DEFAULT, fd_step
 
-CHECK_NAMES = ("normality", "ellipticity", "thermo", "maxwell", "galilean", "parity")
-
 #: Failures mathematically implied by each targeted violation.  A Maxwell
 #: violation forces a thermo one (the mixed-derivative identity follows from
 #: the two gradient identities for twice-differentiable energies), and the
@@ -374,6 +372,7 @@ class RepresentationResult:
     symmetry_residual: float
     linearity_residual: float
     split_residual: float
+    split_pass: bool  # the split is certified: split_residual <= split_tol
     sigma_fit: Callable[[np.ndarray], float]
 
 
@@ -426,6 +425,7 @@ def extract_representation(model: ConstitutiveModel, probes: Sequence[State],
         symmetry_residual=symmetry,
         linearity_residual=linearity,
         split_residual=split,
+        split_pass=bool(split <= DEFAULT.split_tol),
         sigma_fit=sigma_fit,
     )
 

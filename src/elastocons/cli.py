@@ -93,6 +93,7 @@ def mode_admissibility(cfg: RunConfig, out_dir: str) -> int:
             lines.append(f"representation_symmetry_residual={_fmt(rep.symmetry_residual)}")
             lines.append(f"representation_linearity_residual={_fmt(rep.linearity_residual)}")
             lines.append(f"representation_split_residual={_fmt(rep.split_residual)}")
+            lines.append(f"representation_split_pass={str(rep.split_pass).lower()}")
             text += "\n".join(lines) + "\n"
         except (PreconditionFailure, NewtonDivergence) as exc:
             text += f"representation_error={exc}\n"
@@ -169,8 +170,7 @@ def mode_simulate(cfg: RunConfig, out_dir: str) -> int:
 
     with open(os.path.join(out_dir, "monitors.csv"), "w", encoding="utf-8") as fh:
         fh.write(_header(cfg))
-        fh.write("step,t,energy,boundary_flux,energy_drift,"
-                 "involution_residual,dissipation_residual\n")
+        fh.write("step,t,energy,energy_drift,involution_residual,dissipation_residual\n")
         for row in trace.rows():
             fh.write(str(row[0]) + "," + ",".join(_fmt(x) for x in row[1:]) + "\n")
     _write_snapshot(os.path.join(out_dir, "snapshot_final.csv"), cfg, model, final)

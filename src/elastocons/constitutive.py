@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError, NewtonDivergence, NonFinite, NotSymmetric, Singular
+from .errors import DomainError, NewtonDivergence, NotSymmetric, Singular
 from .tensors import EYE3, asymmetry, check_finite, outer, sym_part
 from .tolerances import DEFAULT, FD_SCALE, fd_step
 
@@ -163,7 +163,7 @@ def st_venant_kirchhoff(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         F = np.asarray(F, dtype=float)
         C2 = second_piola(green(F))
         FFt = F @ F.swapaxes(-1, -2)
-        S4 = np.einsum("ih,...kj->...ijhk", EYE3, C2)
+        S4 = np.einsum("ih,...kj->...ijhk", EYE3, C2, order="C")  # flat rows for E(w)
         S4 += lam * np.einsum("...ij,...hk->...ijhk", F, F)
         S4 += mu * np.einsum("...ik,...hj->...ijhk", F, F)
         S4 += mu * np.einsum("...ih,jk->...ijhk", FFt, EYE3)
@@ -209,7 +209,8 @@ def neo_hookean(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         lnJ = _logdet(F)
         Finv = np.linalg.inv(F)
         FinvT = Finv.swapaxes(-1, -2)
-        S4 = (lam * FinvT)[..., :, :, None, None] * FinvT[..., None, None, :, :]
+        S4 = np.multiply((lam * FinvT)[..., :, :, None, None], FinvT[..., None, None, :, :],
+                         order="C")  # flat rows for E(w)
         S4 += I4
         c = (lam * lnJ - mu)[..., None, None] * FinvT
         S4 -= c[..., :, None, None, :] * Finv[..., None, :, :, None]  # c_ik Finv_jh

@@ -23,17 +23,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnit
-from .tensors import eig_general, eig_sym
+from .tensors import EYE3, eig_general, eig_sym
 from .tolerances import DEFAULT
 
-N_BASELINE_DIRECTIONS = 26
+DIRECTION_BLOCK = 16  # directions per stacked solve: keeps the scan's working set near 0.2 MB
 
 
 def _require_unit(w) -> np.ndarray:
-    w = np.asarray(w, dtype=float).reshape(3)
-    if abs(float(np.linalg.norm(w)) - 1.0) > 1e-12:
-        raise NotUnit(f"|w| = {np.linalg.norm(w):.15f}, expected 1")
+    w = np.asarray(w, dtype=float)
+    err = np.abs(np.linalg.norm(w, axis=-1) - 1.0)
+    if np.any(err > 1e-12):
+        raise NotUnit(f"|w| deviates from 1 by {err.max():.3e}")
     return w
+
+
+def acoustic_spectrum(S4, w, vroot=None, vectors: bool = False):
+    """E(w) of every S4[..., 3, 3, 3, 3] along every direction w[..., 3], and its spectrum.
+
+    Returns E, shaped S4.shape[:-4] + w.shape[:-1] + (3, 3), and the
+    descending :func:`eig_sym` spectrum (with eigenvectors if ``vectors``).
+    Given the root ``vroot`` of a velocity coefficient V, E is replaced by
+    V^(1/2) E V^(1/2), whose eigenvalues are the squared speeds eig(V E).
+    """
+    w = np.asarray(w, dtype=float)
+    lead, w2 = np.shape(S4)[:-4], w.reshape(-1, 3)
+    # K[j, h, k, d, b] = w_dj delta_hb w_dk: one matrix product with the rows
+    # S4[..., a, (j, h, k)] gives every E(w_d)[a, b], exactly for basis w_d
+    K = np.einsum("dj,hb,dk->jhkdb", w2, EYE3, w2).reshape(27, -1)
+    E = (np.asarray(S4, dtype=float).reshape(-1, 27) @ K).reshape(lead + (3, len(w2), 3))
+    E = E.swapaxes(-3, -2).reshape(lead + w.shape[:-1] + (3, 3))
+    if vroot is not None:
+        E = vroot @ E @ vroot
+    return E, eig_sym(E, vectors=vectors)
 
 
 @dataclass
@@ -48,10 +69,8 @@ class AcousticTensor:
 
 def acoustic_tensor(S4, w) -> AcousticTensor:
     """Assemble and diagonalize E(w) from the elasticity tensor."""
-    w = _require_unit(w)
-    S4 = np.asarray(S4, dtype=float)
-    E = np.einsum("ijhk,j,k->ih", S4, w, w)
-    evals, evecs = eig_sym(E)
+    w = _require_unit(np.reshape(w, 3))
+    E, (evals, evecs) = acoustic_spectrum(S4, w, vectors=True)
     return AcousticTensor(w=w, E=E, eigenvalues=evals, eigenvectors=evecs)
 
 
@@ -59,28 +78,28 @@ def flux_jacobian(S4, rho: float, w) -> np.ndarray:
     """Dense 12x12 directional Jacobian of the fluxes, scalar mass density.
 
     Row/column layout: entries 3a..3a+2 hold the a-th column of the tensor
-    block Z (a = 0, 1, 2) and entries 9..11 hold the vector block z.
+    block Z (a = 0, 1, 2) and entries 9..11 hold the vector block z.  A stack
+    of directions w[..., 3] gives a stack of Jacobians M[..., 12, 12].
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
     w = _require_unit(w)
-    S4 = np.asarray(S4, dtype=float)
-    M = np.zeros((12, 12))
-    for a in range(3):
-        M[3 * a:3 * a + 3, 9:12] = -(w[a] / rho) * np.eye(3)
-    # K[i, h, a] = -sum_j S4[i, j, h, a] w_j, mapping Z[h, a] to the z-rate
-    K = -np.einsum("ijha,j->iha", S4, w)
-    M[9:12, 0:9] = K.transpose(0, 2, 1).reshape(3, 9)
+    M = np.zeros(w.shape[:-1] + (12, 12))
+    # M[3a + i, 9 + h] = -(w_a / rho) delta_ih
+    M[..., 0:9, 9:12] = np.reshape(-(w[..., :, None, None] / rho) * EYE3, M.shape[:-2] + (9, 3))
+    # K[..., i, h, a] = -sum_j S4[i, j, h, a] w_j, mapping Z[h, a] to the z-rate
+    K = -np.einsum("ijha,...j->...iha", np.asarray(S4, dtype=float), w)
+    M[..., 9:12, 0:9] = K.swapaxes(-1, -2).reshape(M.shape[:-2] + (3, 9))
     return M
 
 
 @dataclass
 class EigenStructure:
-    """Classified spectrum of a 12x12 flux Jacobian."""
+    """Classified spectrum of a 12x12 flux Jacobian; array fields for a stack."""
 
     zero_multiplicity: int          # 12 - rank, by singular-value threshold
     eigenvalues: np.ndarray         # all 12, complex
-    nonzero_pairs: list             # (eigenvalue, eigenvector) above the zero band
+    nonzero_pairs: list | None      # (eigenvalue, eigenvector) above the zero band, one matrix
     independent_count: int          # rank of the stacked nonzero eigenvectors
     independence_sv: float          # smallest singular value of that stack
     spectral_scale: float           # largest singular value of the matrix
@@ -88,36 +107,32 @@ class EigenStructure:
 
 def eigenstructure(M, zero_band: float | None = None,
                    indep_tol: float | None = None) -> EigenStructure:
-    """Zero multiplicity (geometric, via rank) and nonzero eigenpairs."""
+    """Zero multiplicity (geometric, via rank) and nonzero eigenpairs of M[..., n, n].
+
+    The eigenvectors of zero-band eigenvalues are masked to zero columns, so
+    one SVD of the unit eigenvector matrix counts the independent nonzero
+    modes; with k of them its k-th singular value is ``independence_sv``.
+    """
     M = np.asarray(M, dtype=float)
     zero_band = DEFAULT.zero_band if zero_band is None else zero_band
     indep_tol = DEFAULT.indep_sv_tol if indep_tol is None else indep_tol
 
     svals = np.linalg.svd(M, compute_uv=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    threshold = zero_band * smax
-    rank = int(np.sum(svals > threshold))
-    zero_multiplicity = M.shape[0] - rank
-
+    smax = svals[..., 0]
+    threshold = zero_band * smax[..., None]
     evals, evecs = eig_general(M)
-    nonzero = [(evals[i], evecs[:, i]) for i in range(len(evals))
-               if abs(evals[i]) > threshold]
-
-    if nonzero:
-        stack = np.column_stack([vec / np.linalg.norm(vec) for _, vec in nonzero])
-        sv = np.linalg.svd(stack, compute_uv=False)
-        independence_sv = float(sv[-1])
-        independent_count = int(np.sum(sv > indep_tol))
-    else:
-        independence_sv = 0.0
-        independent_count = 0
-
+    nonzero = np.abs(evals) > threshold
+    unit = evecs / np.linalg.norm(evecs, axis=-2, keepdims=True)
+    unit *= nonzero[..., None, :]
+    sv = np.linalg.svd(unit, compute_uv=False)
+    kth = np.maximum(nonzero.sum(axis=-1) - 1, 0)[..., None]
     return EigenStructure(
-        zero_multiplicity=zero_multiplicity,
+        zero_multiplicity=M.shape[-1] - np.sum(svals > threshold, axis=-1),
         eigenvalues=evals,
-        nonzero_pairs=nonzero,
-        independent_count=independent_count,
-        independence_sv=independence_sv,
+        nonzero_pairs=([(evals[i], evecs[:, i]) for i in np.flatnonzero(nonzero)]
+                       if M.ndim == 2 else None),
+        independent_count=np.sum(sv > indep_tol, axis=-1),
+        independence_sv=np.take_along_axis(sv, kth, axis=-1)[..., 0],
         spectral_scale=smax,
     )
 
@@ -196,44 +211,31 @@ def scan_directions(S4_at, F, rho: float, n_dirs: int = 256,
     if include_baseline:
         dirs = np.vstack([dirs, baseline_directions()])
 
-    records = []
-    global_min = np.inf
-    worst = dirs[0]
-    for w in dirs:
-        ac = acoustic_tensor(S4, w)
-        mn = float(ac.eigenvalues[-1])
-        if mn < global_min:
-            global_min = mn
-            worst = w
-        speeds = np.where(ac.eigenvalues >= 0.0,
-                          np.sqrt(np.clip(ac.eigenvalues, 0.0, None) / rho),
-                          np.nan)
-        es = eigenstructure(flux_jacobian(S4, rho, w))
-        records.append(DirectionRecord(
-            w=w.copy(),
-            acoustic_eigenvalues=ac.eigenvalues.copy(),
-            min_eigenvalue=mn,
-            wave_speeds=speeds,
-            zero_multiplicity=es.zero_multiplicity,
-            independent_count=es.independent_count,
-        ))
-
+    evals = np.empty((len(dirs), 3))
+    zero_mult, indep = np.empty((2, len(dirs)), dtype=int)
+    for start in range(0, len(dirs), DIRECTION_BLOCK):
+        block = slice(start, start + DIRECTION_BLOCK)
+        evals[block] = acoustic_spectrum(S4, dirs[block])[1]
+        es = eigenstructure(flux_jacobian(S4, rho, dirs[block]))
+        zero_mult[block], indep[block] = es.zero_multiplicity, es.independent_count
+    speeds = np.where(evals >= 0.0, np.sqrt(np.clip(evals, 0.0, None) / rho), np.nan)
+    worst = int(np.argmin(evals[:, -1]))
+    records = [DirectionRecord(w=w, acoustic_eigenvalues=e, min_eigenvalue=float(e[-1]),
+                               wave_speeds=c, zero_multiplicity=int(z),
+                               independent_count=int(k))
+               for w, e, c, z, k in zip(dirs, evals, speeds, zero_mult, indep)]
     return HyperbolicityReport(
         records=records,
         rho=rho,
-        strongly_elliptic=bool(global_min > se_tol),
-        min_eigenvalue=float(global_min),
-        worst_direction=np.asarray(worst, dtype=float),
+        strongly_elliptic=bool(evals[worst, -1] > se_tol),
+        min_eigenvalue=float(evals[worst, -1]),
+        worst_direction=dirs[worst],
     )
 
 
 def min_acoustic_eigenvalue(S4, dirs) -> float:
     """Smallest acoustic eigenvalue over a direction set."""
-    S4 = np.asarray(S4, dtype=float)
-    worst = np.inf
-    for w in dirs:
-        worst = min(worst, float(acoustic_tensor(S4, w).eigenvalues[-1]))
-    return worst
+    return float(acoustic_spectrum(S4, _require_unit(dirs))[1].min())
 
 
 def ellipticity_loss_bisection(S4_at, s_lo: float, s_hi: float,

@@ -22,6 +22,7 @@ import numpy as np
 from .constitutive import (ConstitutiveModel, State, as_batched, elasticity_map,
                            fd_velocity_jacobian, momentum_from_velocity)
 from .errors import Blowup, NonHyperbolicState
+from .hyperbolicity import acoustic_spectrum
 from .tensors import EYE3, outer
 
 BLOWUP_NORM = 1e12
@@ -90,7 +91,6 @@ class Field:
     F: np.ndarray
     p: np.ndarray
     t: float = 0.0
-    valid: bool = True
 
     def finite(self) -> bool:
         return bool(np.all(np.isfinite(self.F)) and np.all(np.isfinite(self.p)))
@@ -142,14 +142,11 @@ def _cell_speeds(model: ConstitutiveModel, fld: Field, vroot: np.ndarray) -> np.
     """
     g = fld.grid
     F = fld.F.reshape(-1, 3, 3)
-    lo, hi = np.empty((2, len(F), g.dims))  # smallest and largest acoustic eigenvalues
+    eigs = np.empty((len(F), g.dims, 3))  # descending, per cell and axis
     for start in range(0, len(F), CELL_BLOCK):
         block = slice(start, start + CELL_BLOCK)
-        S4 = model.analytic_S4(F[block])
-        for ax in range(g.dims):
-            G = vroot @ S4[:, :, ax, :, ax] @ vroot  # V^(1/2) E(e_ax) V^(1/2)
-            eigs = np.linalg.eigvalsh(0.5 * (G + G.swapaxes(-1, -2)))
-            lo[block, ax], hi[block, ax] = eigs[:, 0], eigs[:, -1]
+        eigs[block] = acoustic_spectrum(model.analytic_S4(F[block]), EYE3[:g.dims], vroot)[1]
+    lo, hi = eigs[..., -1], eigs[..., 0]
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)).max(axis=0))
     bad = np.flatnonzero(lo.min(axis=0) < -1e-10 * scale)
     if bad.size:
@@ -262,7 +259,6 @@ class MonitorTrace:
     steps: list = dataclass_field(default_factory=list)
     times: list = dataclass_field(default_factory=list)
     energy: list = dataclass_field(default_factory=list)
-    boundary_flux: list = dataclass_field(default_factory=list)  # identically 0 (periodic)
     energy_drift: list = dataclass_field(default_factory=list)
     involution: list = dataclass_field(default_factory=list)
     dissipation: list = dataclass_field(default_factory=list)
@@ -271,14 +267,13 @@ class MonitorTrace:
         self.steps.append(int(step))
         self.times.append(float(t))
         self.energy.append(float(energy))
-        self.boundary_flux.append(0.0)
         self.energy_drift.append(float(energy - energy0))
         self.involution.append(float(invol))
         self.dissipation.append(float(dissip))
 
     def rows(self):
-        return zip(self.steps, self.times, self.energy, self.boundary_flux,
-                   self.energy_drift, self.involution, self.dissipation)
+        return zip(self.steps, self.times, self.energy, self.energy_drift,
+                   self.involution, self.dissipation)
 
 def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
         monitor_every: int = 1):
@@ -314,7 +309,6 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
 
         if not fld.finite() or max(float(np.abs(fld.F).max()),
                                    float(np.abs(fld.p).max())) > BLOWUP_NORM:
-            fld.valid = False
             raise Blowup(f"field norm exploded at t = {fld.t:.6g} (step {step})")
 
         if monitored:
@@ -357,10 +351,8 @@ def affine_initial_field(model: ConstitutiveModel, grid: Grid, A, B, a, b, c,
 def plane_wave_speed(model: ConstitutiveModel, F0, w, d) -> float:
     """Characteristic speed of the acoustic mode closest to polarization d."""
     F0 = np.asarray(F0, dtype=float)
-    E = np.einsum("ijhk,j,k->ih", elasticity_map(model)(F0), w, w)
     vroot = _velocity_coefficient_root(model, F0, np.zeros(3))
-    G = vroot @ E @ vroot
-    evals, evecs = np.linalg.eigh(0.5 * (G + G.T))
+    _, (evals, evecs) = acoustic_spectrum(elasticity_map(model)(F0), w, vroot, vectors=True)
     if float(evals.min()) < 0.0:
         raise NonHyperbolicState("no real wave speed: acoustic tensor indefinite")
     pick = int(np.argmax(np.abs(evecs.T @ np.asarray(d, dtype=float))))

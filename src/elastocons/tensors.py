@@ -1,8 +1,9 @@
 """Dense tensor algebra in three dimensions.
 
 Vectors are numpy arrays of shape (3,), second-order tensors (3, 3) (stacks
-of them for ``sym_part``), and fourth-order tensors (3, 3, 3, 3).  Everything
-here is a pure function of its inputs; nothing is mutated.
+of them for ``sym_part``, ``asymmetry`` and the eigensolvers), and fourth-order
+tensors (3, 3, 3, 3).  Everything here is a pure function of its inputs; nothing
+is mutated.
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ def apply4(S4, Z) -> np.ndarray:
     return np.einsum("ijhk,hk->ij", np.asarray(S4, dtype=float), np.asarray(Z, dtype=float))
 
 
-def identity4() -> np.ndarray:
-    """Fourth-order identity: apply4(identity4(), Z) == Z."""
-    return np.einsum("ih,jk->ijhk", EYE3, EYE3)
-
-
 def check_finite(arr, what="tensor"):
     arr = np.asarray(arr, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -46,51 +42,60 @@ def sym_part(M) -> np.ndarray:
 
 
 def asymmetry(M) -> float:
-    """Relative deviation of M from its own transpose."""
+    """Relative deviation of M from its own transpose; the worst one of a stack."""
     M = np.asarray(M, dtype=float)
-    scale = max(1.0, float(np.abs(M).max()))
-    return float(np.abs(M - M.T).max()) / scale
+    scale = np.maximum(1.0, np.abs(M).max((-2, -1)))
+    return float((np.abs(M - M.swapaxes(-1, -2)).max((-2, -1)) / scale).max())
 
 
-def eig_sym(M, sym_tol: float | None = None):
-    """Eigendecomposition of a symmetric 3x3 tensor.
+def eig_sym(M, sym_tol: float | None = None, vectors: bool = True):
+    """Eigendecomposition of a symmetric matrix or a stack of them.
 
     Parameters
     ----------
-    M : (3, 3) array
-        Must be symmetric to within ``sym_tol`` (relative).
+    M : (..., n, n) array
+        Each matrix must be symmetric to within ``sym_tol`` (relative).
+    vectors : bool
+        When False only the eigenvalues are computed and returned.
 
     Returns
     -------
     (evals, evecs)
-        ``evals`` sorted in descending order; ``evecs[:, i]`` is the unit
-        eigenvector for ``evals[i]``.
+        ``evals[..., :]`` sorted in descending order; ``evecs[..., :, i]`` is
+        the unit eigenvector for ``evals[..., i]``.
 
     Raises
     ------
+    NonFinite
+        If M has a non-finite entry.
     NotSymmetric
         If the relative asymmetry of M exceeds the tolerance.
     """
-    M = check_finite(M, "eig_sym input")
+    M = np.asarray(M, dtype=float)
     tol = DEFAULT.sym_tol if sym_tol is None else sym_tol
-    if asymmetry(M) > tol:
-        raise NotSymmetric(f"asymmetry {asymmetry(M):.3e} exceeds {tol:.3e}")
+    # the relative asymmetry is at most the absolute one: full checks only if this fails
+    if not np.abs(M - M.swapaxes(-1, -2)).max() <= tol:
+        check_finite(M, "eig_sym input")
+        if asymmetry(M) > tol:
+            raise NotSymmetric(f"asymmetry {asymmetry(M):.3e} exceeds {tol:.3e}")
+    if not vectors:
+        return np.linalg.eigvalsh(sym_part(M))[..., ::-1]
     evals, evecs = np.linalg.eigh(sym_part(M))
-    return evals[::-1].copy(), evecs[:, ::-1].copy()
+    return evals[..., ::-1].copy(), evecs[..., ::-1].copy()
 
 
 def eig_general(M):
-    """Eigenvalues and right eigenvectors of a small dense real matrix.
+    """Eigenvalues and right eigenvectors of small dense real matrices.
 
     Intended for the 12x12 directional flux Jacobian; accepts any square
-    matrix up to 16x16.  Returns complex eigenvalues and the matrix of right
-    eigenvectors (one per column).
+    matrix up to 16x16, or a stack M[..., n, n] of them.  Returns complex
+    eigenvalues and the matrices of right eigenvectors (one per column).
     """
     M = check_finite(M, "eig_general input")
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] > 16:
-        raise ValueError(f"matrix of order {M.shape[0]} exceeds the supported 16")
+    if M.shape[-1] > 16:
+        raise ValueError(f"matrix of order {M.shape[-1]} exceeds the supported 16")
     try:
         evals, evecs = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here

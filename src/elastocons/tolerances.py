@@ -15,7 +15,6 @@ import numpy as np
 class Tolerances:
     # tensor algebra
     sym_tol: float = 1e-9          # relative asymmetry allowed in "symmetric" input
-    eig_tol: float = 1e-9          # relative eigen residual / orthonormality
 
     # admissibility checks
     normality_tol: float = 1e-8    # lower bound on |det N|
@@ -25,7 +24,6 @@ class Tolerances:
     galilean_tol: float = 1e-9
     parity_tol: float = 1e-9
     split_tol: float = 1e-6        # additive kinetic/stored energy split
-    fd_sym_tol: float = 1e-6       # major symmetry of finite-difference second derivatives
 
     # Newton inversion of the velocity map
     newton_tol: float = 1e-10      # absolute, on the velocity residual

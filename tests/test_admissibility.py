@@ -208,6 +208,29 @@ def test_representation_classical_scalar():
     assert np.abs(res.V_fit - 0.25 * np.eye(3)).max() <= 1e-10
 
 
+def test_representation_split_verdict():
+    for se in (linear_isotropic(LAM, MU), st_venant_kirchhoff(LAM, MU), neo_hookean(LAM, MU)):
+        res = extract_representation(classical_model(1.5, se), _probes(40))
+        assert res.split_pass and res.split_residual <= 1e-6
+    # v = p / rho is linear and parity-even, but the kinetic energy carries a
+    # factor 1 + |F - I|^2: only the energy split exposes it
+    rho, se = 1.5, linear_isotropic(LAM, MU)
+    probes = _probes(40)
+
+    def energy(s):
+        D = s.F - np.eye(3)
+        return 0.5 * float(s.p @ s.p) * (1.0 + float(np.sum(D * D))) / rho + se.sigma(s.F)
+
+    bad = ConstitutiveModel(name="split_defect", energy=energy,
+                            velocity=lambda s: s.p / rho,
+                            stress=lambda s: se.analytic_stress(s.F), analytic_S4=None)
+    assert check_normality(bad, probes)[0] and check_galilean(bad, probes)[0]
+    assert check_parity(bad, probes)[0]
+    res = extract_representation(bad, probes)
+    assert not res.split_pass
+    assert res.split_residual > 1e-3
+
+
 def test_representation_guard_on_parity_violation():
     with pytest.raises(PreconditionFailure, match="parity"):
         extract_representation(corrupted_model("parity"), _probes())

@@ -116,6 +116,9 @@ def test_cli_all_happy_path(tmp_path):
     assert head[0].startswith("# elastocons ")
     assert head[1].startswith("# config_sha256=")
     assert head[2] == "# seed=97"
+    assert head[3] == "step,t,energy,energy_drift,involution_residual,dissipation_residual"
+    with open(os.path.join(out, "admissibility.txt"), encoding="utf-8") as fh:
+        assert "representation_split_pass=true" in fh.read().splitlines()
 
 
 def test_cli_parity_corruption_fails_admissibility(tmp_path):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from elastocons import (acoustic_tensor, baseline_directions, eigenstructure,
-                        ellipticity_loss_bisection, elasticity_map,
+from elastocons import (acoustic_tensor, baseline_directions, corrupted_model,
+                        eigenstructure, ellipticity_loss_bisection, elasticity_map,
                         fibonacci_sphere, flux_jacobian, linear_isotropic,
                         neo_hookean, outer, scan_directions,
                         st_venant_kirchhoff)
 from elastocons.errors import NotUnit
+from elastocons.tolerances import DEFAULT
 
 LAM, MU = 2.0, 1.0
 E1 = np.array([1.0, 0.0, 0.0])
@@ -179,3 +180,54 @@ def test_stvk_compression_loses_ellipticity():
     assert 0.3 < s_star < 1.0
     # transverse acoustic branch 5 s^2 - 4 crosses zero at sqrt(4/5)
     assert s_star == pytest.approx(np.sqrt(0.8), abs=1e-6)
+
+
+def _direction_oracle(S4, rho, w):
+    """One direction at a time: acoustic spectrum, zero multiplicity and the
+    independent-mode count and margin of the 12x12 Jacobian, in plain numpy."""
+    mu = np.linalg.eigh(np.einsum("ijhk,j,k->ih", S4, w, w))[0][::-1]
+    M = flux_jacobian(S4, rho, w)
+    svals = np.linalg.svd(M, compute_uv=False)
+    band = DEFAULT.zero_band * svals[0]
+    lam, vecs = np.linalg.eig(M)
+    keep = vecs[:, np.abs(lam) > band]
+    if keep.shape[1] == 0:
+        return mu, 12 - int(np.sum(svals > band)), 0, 0.0
+    sv = np.linalg.svd(keep / np.linalg.norm(keep, axis=0), compute_uv=False)
+    return mu, 12 - int(np.sum(svals > band)), int(np.sum(sv > DEFAULT.indep_sv_tol)), sv[-1]
+
+
+@pytest.mark.parametrize("case", ["linear", "stvk", "neo_hookean", "stvk_compressed", "zero"])
+def test_scan_matches_per_direction_oracle(case):
+    rng = np.random.default_rng(8)
+    F = np.eye(3) + 0.15 * rng.uniform(-1.0, 1.0, size=(3, 3))
+    if case == "stvk_compressed":
+        F = 0.5 * np.eye(3)  # past the ellipticity boundary: negative and complex modes
+    # the zero-energy control: zero multiplicity 9, no propagating modes
+    S4_at = elasticity_map(corrupted_model("ellipticity") if case == "zero" else
+                           {"linear": linear_isotropic, "stvk": st_venant_kirchhoff,
+                            "neo_hookean": neo_hookean,
+                            "stvk_compressed": st_venant_kirchhoff}[case](LAM, MU))
+    rho = 1.3
+    S4 = S4_at(F)
+    report = scan_directions(S4_at, F, rho)
+    dirs = np.vstack([fibonacci_sphere(256), baseline_directions()])
+    es = eigenstructure(flux_jacobian(S4, rho, dirs))
+    assert len(report.records) == len(dirs) == 282
+    for r, w, zm, ic, isv in zip(report.records, dirs, es.zero_multiplicity,
+                                 es.independent_count, es.independence_sv):
+        mu, zero_mult, indep, margin = _direction_oracle(S4, rho, w)
+        scale = max(1.0, float(np.abs(mu).max()))
+        assert np.array_equal(r.w, w)
+        assert np.abs(r.acoustic_eigenvalues - mu).max() <= 1e-13 * scale
+        assert r.min_eigenvalue == r.acoustic_eigenvalues[-1]
+        speeds = np.sqrt(np.where(mu >= 0.0, mu, np.nan) / rho)
+        real = ~np.isnan(speeds)
+        assert np.array_equal(np.isnan(r.wave_speeds), ~real)
+        assert np.all(np.abs(r.wave_speeds - speeds)[real] <= 1e-13 * np.sqrt(scale))
+        assert (r.zero_multiplicity, r.independent_count) == (zero_mult, indep) == (zm, ic)
+        assert abs(isv - margin) <= 1e-13
+    mins = [r.min_eigenvalue for r in report.records]
+    assert report.min_eigenvalue == min(mins)
+    assert np.array_equal(report.worst_direction, dirs[int(np.argmin(mins))])
+    assert report.strongly_elliptic == (case not in ("stvk_compressed", "zero"))

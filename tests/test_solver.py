@@ -5,11 +5,11 @@ from field_fixtures import gradient_field_3d
 from elastocons import (Field, Grid, State, affine_initial_field,
                         classical_model, flux, involution_residual,
                         linear_isotropic, measure_wave_speed,
-                        momentum_from_velocity, neo_hookean, rest_field, run,
-                        sine_wave_field, st_venant_kirchhoff,
+                        momentum_from_velocity, neo_hookean, plane_wave_speed,
+                        rest_field, run, sine_wave_field, st_venant_kirchhoff,
                         step_lax_friedrichs, stored_energy_registry,
-                        total_deformation, total_energy, total_momentum,
-                        uniform_field)
+                        tensor_mass_model, total_deformation, total_energy,
+                        total_momentum, uniform_field)
 from elastocons.errors import Blowup, NonHyperbolicState
 
 LAM, MU = 2.0, 1.0
@@ -214,3 +214,60 @@ def test_momentum_inversion_consistency_in_builders():
         v = m.velocity(State(fld.F[i], fld.p[i]))
         p_back = momentum_from_velocity(m, fld.F[i], v)
         assert np.abs(p_back - fld.p[i]).max() <= 1e-9
+
+
+# A symmetric positive definite velocity coefficient with off-diagonal coupling
+V_COUPLED = np.array([[0.8, 0.3, 0.1], [0.3, 1.4, -0.2], [0.1, -0.2, 0.6]])
+
+
+def _speeds_squared(V, S4, w):
+    """eig(V E(w)), the squared characteristic speeds, ascending."""
+    E = np.einsum("ijhk,j,k->ih", S4, w, w)
+    lam, R = np.linalg.eig(V @ E)
+    order = np.argsort(lam.real)
+    return lam.real[order], R.real[:, order]
+
+
+def test_plane_wave_speed_with_coupled_velocity_coefficient():
+    rng = np.random.default_rng(21)
+    se = neo_hookean(LAM, MU)
+    m = tensor_mass_model(V_COUPLED, se)
+    ev, Q = np.linalg.eigh(V_COUPLED)
+    V_inv_root = (Q / np.sqrt(ev)) @ Q.T
+    for _ in range(5):
+        F0 = np.eye(3) + 0.1 * rng.uniform(-1.0, 1.0, size=(3, 3))
+        w = rng.normal(size=3)
+        w /= np.linalg.norm(w)
+        lam, R = _speeds_squared(V_COUPLED, se.analytic_elasticity(F0), w)
+        for k in range(3):
+            # V E r = lam r makes V^(-1/2) r the polarization of mode k
+            c = plane_wave_speed(m, F0, w, V_inv_root @ R[:, k])
+            assert c ** 2 == pytest.approx(lam[k], rel=1e-9)
+
+
+def test_3d_time_step_with_coupled_velocity_coefficient():
+    se = neo_hookean(LAM, MU)
+    m = tensor_mass_model(V_COUPLED, se)
+    fld = gradient_field_3d(4, amp=0.05)
+    cfl = 0.5
+    denom = 0.0
+    for ax in range(3):
+        c_max = max(np.sqrt(_speeds_squared(V_COUPLED, se.analytic_elasticity(fld.F[c]),
+                                            np.eye(3)[ax])[0][-1])
+                    for c in np.ndindex(*fld.grid.cells))
+        denom += c_max / fld.grid.h[ax]
+    assert step_lax_friedrichs(m, fld, cfl).t == pytest.approx(cfl / denom, rel=1e-9)
+
+
+def test_tensor_mass_1d_wave_speeds():
+    # E(e_0) = diag(4, 1, 1) for linear isotropic (2, 1); V E = diag(2, 1.25, 2)
+    # a third of a period: the measured lag, not the wrap count, carries the speed
+    m = tensor_mass_model(np.diag([0.5, 1.25, 2.0]), linear_isotropic(LAM, MU))
+    L = 1.0
+    for pol, comp, c_exact in (("longitudinal", 0, np.sqrt(2.0)),
+                               ("transverse", 1, np.sqrt(1.25))):
+        f0 = sine_wave_field(m, Grid.line(200, L), pol, amplitude=0.01)
+        t = L / (3.0 * c_exact)
+        fT, _ = run(m, f0, t_end=t, cfl=0.5, monitor_every=10 ** 9)
+        measured = measure_wave_speed(f0.p[:, comp], fT.p[:, comp], t, L, c_exact)
+        assert measured == pytest.approx(c_exact, rel=0.02)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from elastocons import apply4, eig_general, eig_sym, identity4, outer
-from elastocons.errors import NotSymmetric
+from elastocons import apply4, eig_general, eig_sym, outer
+from elastocons.errors import NonFinite, NotSymmetric
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -31,7 +31,8 @@ def test_outer_componentwise_oracle():
 def test_apply4_identity_and_zero():
     rng = np.random.default_rng(0)
     Z = rng.normal(size=(3, 3))
-    assert np.allclose(apply4(identity4(), Z), Z, atol=1e-15)
+    identity4 = np.einsum("ih,jk->ijhk", np.eye(3), np.eye(3))
+    assert np.allclose(apply4(identity4, Z), Z, atol=1e-15)
     assert np.array_equal(apply4(np.zeros((3, 3, 3, 3)), Z), np.zeros((3, 3)))
 
 
@@ -129,3 +130,28 @@ def test_eig_general_rejects_large_and_nonsquare():
         eig_general(np.zeros((17, 17)))
     with pytest.raises(ValueError):
         eig_general(np.zeros((3, 4)))
+
+
+def test_eigensolvers_on_stacks_match_single_matrices_and_keep_their_checks():
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(4, 2, 3, 3))
+    S = A + A.swapaxes(-1, -2)
+    evals, evecs = eig_sym(S)
+    assert np.abs(eig_sym(S, vectors=False) - evals).max() <= 1e-14 * np.abs(evals).max()
+    G = rng.normal(size=(4, 2, 12, 12))
+    gvals, gvecs = eig_general(G)
+    for idx in np.ndindex(4, 2):
+        single, single_vecs = eig_sym(S[idx])
+        assert np.allclose(evals[idx], single, rtol=0.0, atol=1e-13)
+        assert np.allclose(np.abs(evecs[idx]), np.abs(single_vecs), rtol=0.0, atol=1e-12)
+        assert np.allclose(gvals[idx], eig_general(G[idx])[0], rtol=0.0, atol=1e-12)
+    S[3, 1, 0, 2] += 1e-3  # one asymmetric matrix spoils the stack
+    with pytest.raises(NotSymmetric):
+        eig_sym(S)
+    S[3, 1, 0, 2] = np.nan
+    with pytest.raises(NonFinite):
+        eig_sym(S, vectors=False)
+    with pytest.raises(ValueError):
+        eig_general(np.zeros((4, 17, 17)))
+    with pytest.raises(ValueError):
+        eig_general(np.zeros((4, 3, 4)))
