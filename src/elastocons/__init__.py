@@ -20,8 +20,9 @@ __version__ = "0.1.0"
 from .tensors import apply4, eig_general, eig_sym, outer
 from .constitutive import (ConstitutiveModel, MassDensityTensor, State,
                            StoredEnergy, as_batched, classical_model,
-                           corrupted_model, elasticity_map, fd_elasticity_tensor,
-                           fd_stress, fd_velocity_jacobian, linear_isotropic,
+                           corrupted_model, elasticity_map, fd_derivative,
+                           fd_elasticity_tensor, fd_stress, fd_velocity_jacobian,
+                           linear_isotropic,
                            momentum_from_velocity, neo_hookean,
                            st_venant_kirchhoff, stored_energy_by_name,
                            stored_energy_registry, tensor_mass_model)

@@ -26,11 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constitutive import (ConstitutiveModel, State, fd_velocity_jacobian,
-                           momentum_from_velocity)
+from .constitutive import (ConstitutiveModel, State, as_batched, fd_derivative,
+                           fd_velocity_jacobian, momentum_from_velocity)
 from .errors import FitDegenerate, NewtonDivergence, NotUnit, PreconditionFailure
-from .tensors import EYE3, check_finite
-from .tolerances import DEFAULT, fd_step
+from .tensors import EYE3
+from .tolerances import DEFAULT
 
 #: Failures mathematically implied by each targeted violation.  A Maxwell
 #: violation forces a thermo one (the mixed-derivative identity follows from
@@ -111,51 +111,38 @@ def default_shifts() -> list[np.ndarray]:
 # Finite-difference helpers
 # ---------------------------------------------------------------------------
 
+def _stack(probes: Sequence[State]) -> State:
+    return State(np.array([s.F for s in probes]), np.array([s.p for s in probes]))
+
+
 def fd_energy_gradients(model: ConstitutiveModel, s: State):
-    """(d tau / dF, d tau / dp) by central differences."""
-    hF = fd_step(s.F)
-    hp = fd_step(s.p)
-    gF = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            dF = np.zeros((3, 3))
-            dF[i, j] = hF
-            gF[i, j] = (model.energy(State(s.F + dF, s.p))
-                        - model.energy(State(s.F - dF, s.p))) / (2.0 * hF)
-    gp = np.empty(3)
-    for k in range(3):
-        dp = np.zeros(3)
-        dp[k] = hp
-        gp[k] = (model.energy(State(s.F, s.p + dp))
-                 - model.energy(State(s.F, s.p - dp))) / (2.0 * hp)
-    return check_finite(gF, "dtau/dF"), check_finite(gp, "dtau/dp")
+    """(d tau / dF, d tau / dp) by central differences, at one state or a stack."""
+    energy = as_batched(model).energy
+    return fd_derivative(energy, s, "F"), fd_derivative(energy, s, "p")
 
 
 def stress_tilde(model: ConstitutiveModel, F, v, p_seed=None) -> np.ndarray:
     """Velocity-eliminated stress S~(F, v) = stress(F, p(F, v))."""
     p = momentum_from_velocity(model, F, v, p0=p_seed)
-    return model.stress(State(F, p))
+    return as_batched(model).stress(State(F, p))
 
 
 def ellipticity_tensor(model: ConstitutiveModel, F, v, a) -> np.ndarray:
-    """E[i, h] = sum_{j,k} dS~_ij/dF_hk a_j a_k at fixed v.
+    """E[..., i, h] = sum_{j,k} dS~_ij/dF_hk a_j a_k at fixed v.
 
-    Each F-perturbation re-inverts the velocity map, so the derivative is
-    taken along constant velocity, not constant momentum.
+    Takes one triple or stacks F[..., 3, 3], v[..., 3], a[..., 3].  Each
+    F-perturbation re-inverts the velocity map, seeded with its probe's
+    momentum, so the derivative is taken along constant velocity, not
+    constant momentum.
     """
-    F = np.asarray(F, dtype=float)
-    a = np.asarray(a, dtype=float)
-    h = fd_step(F)
-    p_center = momentum_from_velocity(model, F, v)
-    dS = np.empty((3, 3, 3, 3))
-    for b in range(3):
-        for k in range(3):
-            dF = np.zeros((3, 3))
-            dF[b, k] = h
-            Sp = stress_tilde(model, F + dF, v, p_seed=p_center)
-            Sm = stress_tilde(model, F - dF, v, p_seed=p_center)
-            dS[:, :, b, k] = (Sp - Sm) / (2.0 * h)
-    return np.einsum("ijhk,j,k->ih", dS, a, a)
+    model = as_batched(model)
+    F, v, a = (np.asarray(x, dtype=float) for x in (F, v, a))
+
+    def stress_at_velocity(t):  # t.p is the Newton seed: its probe's momentum
+        return stress_tilde(model, t.F, np.broadcast_to(v, t.p.shape), t.p)
+
+    dS = fd_derivative(stress_at_velocity, State(F, momentum_from_velocity(model, F, v)))
+    return np.einsum("...ijhk,...j,...k->...ih", dS, a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +155,16 @@ def check_normality(model: ConstitutiveModel, probes: Sequence[State],
     if not probes:
         raise ValueError("probe set must be non-empty")
     tol = DEFAULT.normality_tol if tol is None else tol
-    min_det = min(abs(float(np.linalg.det(fd_velocity_jacobian(model, s.F, s.p))))
-                  for s in probes)
+    s = _stack(probes)
+    min_det = float(np.abs(np.linalg.det(fd_velocity_jacobian(model, s.F, s.p))).min())
     return min_det > tol, min_det
 
 
 def check_ellipticity(model: ConstitutiveModel, probes, tol: float | None = None):
     """Minimum |det E(F, v; a)| over (F, v, a) probes."""
     tol = DEFAULT.ellipticity_tol if tol is None else tol
-    min_det = min(abs(float(np.linalg.det(ellipticity_tensor(model, F, v, a))))
-                  for F, v, a in probes)
+    F, v, a = (np.array(x) for x in zip(*probes))
+    min_det = float(np.abs(np.linalg.det(ellipticity_tensor(model, F, v, a))).min())
     return min_det > tol, min_det
 
 
@@ -185,12 +172,10 @@ def check_thermo(model: ConstitutiveModel, probes: Sequence[State],
                  tol: float | None = None):
     """Worst residuals of velocity = d tau/dp and stress = d tau/dF."""
     tol = DEFAULT.thermo_tol if tol is None else tol
-    res_v = 0.0
-    res_S = 0.0
-    for s in probes:
-        gF, gp = fd_energy_gradients(model, s)
-        res_v = max(res_v, float(np.abs(gp - model.velocity(s)).max()))
-        res_S = max(res_S, float(np.abs(gF - model.stress(s)).max()))
+    model, s = as_batched(model), _stack(probes)
+    gF, gp = fd_energy_gradients(model, s)
+    res_v = float(np.abs(gp - model.velocity(s)).max())
+    res_S = float(np.abs(gF - model.stress(s)).max())
     return (res_v <= tol and res_S <= tol), (res_v, res_S)
 
 
@@ -198,24 +183,10 @@ def check_maxwell(model: ConstitutiveModel, probes: Sequence[State],
                   tol: float | None = None):
     """Worst residual of dS_ij/dp_h = dv_h/dF_ij over probes."""
     tol = DEFAULT.maxwell_tol if tol is None else tol
-    worst = 0.0
-    for s in probes:
-        hp = fd_step(s.p)
-        hF = fd_step(s.F)
-        dSdp = np.empty((3, 3, 3))
-        for k in range(3):
-            dp = np.zeros(3)
-            dp[k] = hp
-            dSdp[:, :, k] = (model.stress(State(s.F, s.p + dp))
-                             - model.stress(State(s.F, s.p - dp))) / (2.0 * hp)
-        dvdF = np.empty((3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                dF = np.zeros((3, 3))
-                dF[i, j] = hF
-                dvdF[i, j, :] = (model.velocity(State(s.F + dF, s.p))
-                                 - model.velocity(State(s.F - dF, s.p))) / (2.0 * hF)
-        worst = max(worst, float(np.abs(dSdp - dvdF).max()))
+    model, s = as_batched(model), _stack(probes)
+    dSdp = fd_derivative(model.stress, s, "p")
+    dvdF = np.moveaxis(fd_derivative(model.velocity, s, "F"), -3, -1)
+    worst = float(np.abs(dSdp - dvdF).max())
     return worst <= tol, worst
 
 
@@ -229,12 +200,11 @@ def check_galilean(model: ConstitutiveModel, probes: Sequence[State],
     spread (max - min across probes), maximized over shifts.
     """
     tol = DEFAULT.galilean_tol if tol is None else tol
-    shifts = default_shifts() if shifts is None else shifts
-    deviation = 0.0
-    for d in shifts:
-        diffs = np.array([model.velocity(State(s.F, s.p + d)) - model.velocity(s)
-                          for s in probes])
-        deviation = max(deviation, float((diffs.max(axis=0) - diffs.min(axis=0)).max()))
+    d = np.reshape(default_shifts() if shifts is None else shifts, (-1, 1, 3))
+    model, s = as_batched(model), _stack(probes)
+    shifted = State(np.broadcast_to(s.F, d.shape[:1] + s.F.shape), s.p + d)
+    diffs = model.velocity(shifted) - model.velocity(s)  # [shift, probe, component]
+    deviation = float((diffs.max(axis=1) - diffs.min(axis=1)).max(initial=0.0))
     return deviation <= tol, deviation
 
 
@@ -242,7 +212,8 @@ def check_parity(model: ConstitutiveModel, probes: Sequence[State],
                  tol: float | None = None):
     """Worst asymmetry |tau(F, p) - tau(F, -p)| over probes."""
     tol = DEFAULT.parity_tol if tol is None else tol
-    asym = max(abs(model.energy(s) - model.energy(State(s.F, -s.p))) for s in probes)
+    model, s = as_batched(model), _stack(probes)
+    asym = float(np.abs(model.energy(s) - model.energy(State(s.F, -s.p))).max())
     return asym <= tol, asym
 
 
@@ -398,27 +369,25 @@ def extract_representation(model: ConstitutiveModel, probes: Sequence[State],
         raise PreconditionFailure(
             "representation preconditions violated: " + ", ".join(failed))
 
-    F0 = probes[0].F
-    fit_probes = probes[0::2]
-    held_out = probes[1::2] if len(probes) > 1 else probes
+    model, s = as_batched(model), _stack(probes)
+    fit = s.p[0::2]
+    held_out = State(s.F[1::2], s.p[1::2]) if len(probes) > 1 else s
 
-    P = np.array([s.p for s in fit_probes])
-    if np.linalg.matrix_rank(P, tol=1e-8 * max(1.0, float(np.abs(P).max()))) < 3:
+    if np.linalg.matrix_rank(fit, tol=1e-8 * max(1.0, float(np.abs(fit).max()))) < 3:
         raise FitDegenerate("momentum probes do not span three dimensions")
-    Vel = np.array([model.velocity(State(F0, s.p)) for s in fit_probes])
-    sol, *_ = np.linalg.lstsq(P, Vel, rcond=None)
+    Vel = model.velocity(State(np.broadcast_to(s.F[0], fit.shape + (3,)), fit))
+    sol, *_ = np.linalg.lstsq(fit, Vel, rcond=None)
     V_fit = sol.T
 
-    linearity = max(float(np.abs(model.velocity(s) - V_fit @ s.p).max())
-                    for s in held_out)
+    linearity = float(np.abs(model.velocity(held_out) - held_out.p @ sol).max())
     symmetry = float(np.abs(V_fit - V_fit.T).max())
     M_fit = np.linalg.inv(V_fit)
 
     def sigma_fit(F):
-        return model.energy(State(F, np.zeros(3)))
+        return model.energy(State(F, np.zeros(np.shape(F)[:-1])))
 
-    split = max(abs(model.energy(s) - sigma_fit(s.F) - 0.5 * float(s.p @ (V_fit @ s.p)))
-                for s in probes)
+    split = float(np.abs(model.energy(s) - sigma_fit(s.F)
+                         - 0.5 * (s.p * (s.p @ sol)).sum(-1)).max())
 
     return RepresentationResult(
         V_fit=V_fit, M_fit=M_fit,
@@ -455,14 +424,11 @@ def initial_rate_check(model: ConstitutiveModel, A, B, a, b, c):
         raise NotUnit("direction a must be a unit vector")
 
     p_center = momentum_from_velocity(model, A, c)
-    hv = fd_step(c)
-    dSdv = np.empty((3, 3, 3))
-    for k in range(3):
-        dv = np.zeros(3)
-        dv[k] = hv
-        Sp = stress_tilde(model, A, c + dv, p_seed=p_center)
-        Sm = stress_tilde(model, A, c - dv, p_seed=p_center)
-        dSdv[:, :, k] = (Sp - Sm) / (2.0 * hv)
+
+    def stress_at_velocity(t):  # the velocity rides in the momentum slot of t
+        return stress_tilde(model, t.F, t.p, np.broadcast_to(p_center, t.p.shape))
+
+    dSdv = fd_derivative(stress_at_velocity, State(A, c), "p")
 
     E = ellipticity_tensor(model, A, c, a)
     F_dot = B.copy()

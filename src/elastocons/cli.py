@@ -7,7 +7,7 @@ file is CSV (or a flat key=value text block) with a deterministic header, so
 identical configs and seeds produce byte-identical outputs.
 
 Exit codes: 0 all checks passed, 2 admissibility failure, 3 hyperbolicity
-failure, 4 simulation blowup, 64 configuration error.
+failure, 4 simulation failure, 64 configuration error.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def mode_simulate(cfg: RunConfig, out_dir: str) -> int:
         _write_snapshot(os.path.join(out_dir, "snapshot_initial.csv"), cfg, model, fld)
         final, trace = run(model, fld, t_end=cfg.t_end, cfl=cfg.cfl,
                            monitor_every=cfg.monitor_every)
-    except (Blowup, NonHyperbolicState, NewtonDivergence) as exc:
+    except (Blowup, NonHyperbolicState, NewtonDivergence, PreconditionFailure) as exc:
         _say(cfg, f"simulation: FAIL ({exc})")
         return EXIT_SIMULATION
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, NewtonDivergence, NotSymmetric, Singular
 from .tensors import EYE3, asymmetry, check_finite, outer, sym_part
-from .tolerances import DEFAULT, FD_SCALE, fd_step
+from .tolerances import DEFAULT, FD_SCALE
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,11 @@ class State:
 class StoredEnergy:
     """Stored energy sigma(F) with optional analytic derivatives.
 
-    When both derivatives are given, all three callables take stacks F[..., 3, 3].
+    sigma takes stacks F[..., 3, 3]; when both derivatives are given, they do too.
     """
 
     name: str
-    sigma: Callable[[np.ndarray], float]
+    sigma: Callable[[np.ndarray], np.ndarray]
     analytic_stress: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_elasticity: Optional[Callable[[np.ndarray], np.ndarray]] = None
     parameters: Mapping[str, float] = field(default_factory=dict)
@@ -251,82 +251,69 @@ def stored_energy_by_name(name: str, lam: float = 2.0, mu: float = 1.0) -> Store
 # Finite-difference derivatives
 # ---------------------------------------------------------------------------
 
-def fd_stress(se: StoredEnergy, F, step: float | None = None) -> np.ndarray:
-    """Central finite difference of sigma: S[i, j] = d sigma / d F[i, j]."""
-    F = np.asarray(F, dtype=float)
-    h = fd_step(F) if step is None else step
-    S = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            dF = np.zeros((3, 3))
-            dF[i, j] = h
-            S[i, j] = (se.sigma(F + dF) - se.sigma(F - dF)) / (2.0 * h)
-    return check_finite(S, "finite-difference stress")
+def fd_derivative(fn: Callable[[State], np.ndarray], s: State, wrt: str = "F") -> np.ndarray:
+    """Central finite difference of a map of states along every component of s.F or s.p.
 
-
-def fd_jacobian_wrt_tensor(fn: Callable[[np.ndarray], np.ndarray], F,
-                           step: float | None = None) -> np.ndarray:
-    """Central finite difference of a (3,3)-valued map of a (3,3) argument.
-
-    result[i, j, h, k] = d fn(F)[i, j] / d F[h, k]
+    ``fn`` takes a stack of states; the +/- perturbation of every component
+    of every state of the stack ``s`` goes through one call.  Each state x
+    (= s.F or s.p) gets its own step FD_SCALE * max(1, |x|).  Returns
+    result[..., *out, *x] = d fn(s)[..., *out] / d x[..., *x].
     """
+    x = getattr(s, wrt)
+    lead = s.p.shape[:-1]
+    comp = x.shape[len(lead):]
+    n = int(np.prod(comp))
+    flat = x.reshape(lead + (n,))
+    # |x| as a row times a column: the same bits for one state and for a stack
+    h = FD_SCALE * np.maximum(1.0, np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0]))
+    dx = h[..., None] * np.eye(n).reshape((n,) + (1,) * len(lead) + (n,))
+    X = np.stack([flat + dx, flat - dx]).reshape((2, n) + x.shape)  # [sign, component, ...]
+    if wrt == "F":
+        R = fn(State(X, np.broadcast_to(s.p, X.shape[:-1])))
+    else:
+        R = fn(State(np.broadcast_to(s.F, X.shape + (3,)), X))
+    R = np.asarray(R, dtype=float)
+    out = R.shape[2 + len(lead):]
+    D = (R[0] - R[1]) / (2.0 * h.reshape(lead + (1,) * len(out)))
+    return check_finite(np.moveaxis(D, 0, -1).reshape(lead + out + comp),
+                        f"finite-difference derivative along {wrt}")
+
+
+def _at_rest(F) -> State:
+    """States with deformation F[..., 3, 3] and zero momentum."""
     F = np.asarray(F, dtype=float)
-    h = fd_step(F) if step is None else step
-    out = np.empty((3, 3, 3, 3))
-    for a in range(3):
-        for b in range(3):
-            dF = np.zeros((3, 3))
-            dF[a, b] = h
-            out[:, :, a, b] = (np.asarray(fn(F + dF)) - np.asarray(fn(F - dF))) / (2.0 * h)
-    return check_finite(out, "finite-difference tensor jacobian")
+    return State(F, np.zeros(F.shape[:-1]))
 
 
-def fd_elasticity_tensor(se: StoredEnergy, F, step: float | None = None) -> np.ndarray:
+def fd_stress(se: StoredEnergy, F) -> np.ndarray:
+    """Central finite difference of sigma: S[..., i, j] = d sigma / d F[..., i, j]."""
+    return fd_derivative(lambda s: se.sigma(s.F), _at_rest(F))
+
+
+def fd_elasticity_tensor(se: StoredEnergy, F) -> np.ndarray:
     """Second derivative of sigma by differencing the stress map.
 
     Uses the analytic stress when available, otherwise the finite-difference
     stress; the result has major symmetry S4[i,j,h,k] = S4[h,k,i,j] up to the
     finite-difference noise floor.
     """
-    stress = se.analytic_stress if se.analytic_stress is not None else (
-        lambda G: fd_stress(se, G))
-    return fd_jacobian_wrt_tensor(stress, F, step=step)
+    stress = _stress_from(se)
+    return fd_derivative(lambda s: stress(s.F), _at_rest(F))
 
 
 def elasticity_map(model_or_se) -> Callable[[np.ndarray], np.ndarray]:
     """F -> dS/dF for a model or stored energy, analytic when possible."""
     if isinstance(model_or_se, ConstitutiveModel):
-        if model_or_se.analytic_S4 is not None:
-            return model_or_se.analytic_S4
-        return lambda F, m=model_or_se: fd_jacobian_wrt_tensor(
-            lambda G: m.stress(State(G, np.zeros(3))), F)
+        return as_batched(model_or_se).analytic_S4
     se = model_or_se
     if se.analytic_elasticity is not None:
         return se.analytic_elasticity
     return lambda F: fd_elasticity_tensor(se, F)
 
 
-def fd_velocity_jacobian(model: ConstitutiveModel, F, p, step: float | None = None) -> np.ndarray:
-    """N[..., i, h] = d velocity_i / d p_h by central differences.
-
-    Takes one state or, for a batched model, stacks F[..., 3, 3], p[..., 3];
-    each state gets its own step.
-    """
-    F = np.asarray(F, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if step is not None:
-        h = step
-    elif p.ndim == 1:
-        h = fd_step(p)
-    else:
-        h = FD_SCALE * np.maximum(1.0, np.linalg.norm(p, axis=-1))
-    N = np.empty(p.shape + (3,))
-    for k in range(3):
-        dp = np.zeros(p.shape)
-        dp[..., k] = h
-        N[..., k] = model.velocity(State(F, p + dp)) - model.velocity(State(F, p - dp))
-    N /= 2.0 * np.asarray(h)[..., None, None]
-    return check_finite(N, "velocity jacobian")
+def fd_velocity_jacobian(model: ConstitutiveModel, F, p) -> np.ndarray:
+    """N[..., i, h] = d velocity_i / d p_h at one state or stacks F[..., 3, 3], p[..., 3]."""
+    return fd_derivative(as_batched(model).velocity, State(F, p), "p")
 
 
 # ---------------------------------------------------------------------------
@@ -378,23 +365,27 @@ def as_batched(model: ConstitutiveModel) -> ConstitutiveModel:
     """The model if it is batched, else an adapter that loops it over stacks.
 
     The adapter lets pointwise black boxes such as the negative controls run
-    on whole fields; its S4 is the model's (possibly finite-difference) map.
+    on whole fields; its S4 loops the model's analytic map or, without one,
+    differences the looped stress.
     """
     if model.batched:
         return model
 
-    def each(fn, of_states=True):
+    def each(fn, shape, of_states=True):
         def call(x):
             lead = x.p.shape[:-1] if of_states else np.shape(x)[:-2]
-            items = (map(State, x.F.reshape(-1, 3, 3), x.p.reshape(-1, 3)) if of_states
+            # views of the states, filled in result by result: a broadcast stack is
+            # not copied and no list of small arrays is held
+            items = ((State(x.F[i], x.p[i]) for i in np.ndindex(lead)) if of_states
                      else np.reshape(x, (-1, 3, 3)))
-            out = np.array([fn(y) for y in items])
-            return out.reshape(lead + out.shape[1:])
+            return np.fromiter(map(fn, items), np.dtype((float, shape))).reshape(lead + shape)
         return call
 
-    return replace(model, energy=each(model.energy), velocity=each(model.velocity),
-                   stress=each(model.stress), analytic_S4=each(elasticity_map(model), False),
-                   batched=True)
+    stress = each(model.stress, (3, 3))
+    S4 = (each(model.analytic_S4, (3, 3, 3, 3), False) if model.analytic_S4 is not None
+          else lambda F: fd_derivative(stress, _at_rest(F)))
+    return replace(model, energy=each(model.energy, ()), velocity=each(model.velocity, (3,)),
+                   stress=stress, analytic_S4=S4, batched=True)
 
 
 def momentum_from_velocity(model: ConstitutiveModel, F, v,
@@ -403,61 +394,29 @@ def momentum_from_velocity(model: ConstitutiveModel, F, v,
                            max_iter: int | None = None) -> np.ndarray:
     """Invert the velocity map at fixed F by damped Newton iteration.
 
-    Solves velocity(F, p) = v for p, at one state or, for a batched model, at
-    every state of stacks F[..., 3, 3], v[..., 3].  The Jacobian is the
-    finite-difference N matrix; each state's step is halved while it increases
-    that state's residual.  The default seed p0 = v is exact for unit mass
-    density and harmless otherwise.
+    Solves velocity(F, p) = v for p at every state of stacks F[..., 3, 3],
+    v[..., 3]; one state is a stack without leading axes.  The Jacobian is
+    the finite-difference N matrix; each state's step is halved while it
+    increases that state's residual.  The default seed p0 = v is exact for
+    unit mass density and harmless otherwise.
 
     Raises
     ------
     NewtonDivergence
         If the velocity residual is not reduced below tolerance within the
-        iteration budget; for stacks the message names the first such state.
+        iteration budget; the message names the first such state.
     """
+    model = as_batched(model)
     F = np.asarray(F, dtype=float)
     v = np.asarray(v, dtype=float)
     tol = DEFAULT.newton_tol if tol is None else tol
     max_iter = DEFAULT.newton_max_iter if max_iter is None else max_iter
 
-    p = v.copy() if p0 is None else np.array(p0, dtype=float)
-    if v.ndim > 1:
-        return _momentum_of_stack(model, F, v, p, tol, max_iter)
-    # One state: plain scalar tests.  The masked stack loop costs about 30% more
-    # per single-state call, which the admissibility probes would pay.
-    r = model.velocity(State(F, p)) - v
-    rn = float(np.linalg.norm(r))
-    for _ in range(max_iter):
-        if rn <= tol:
-            return p
-        N = fd_velocity_jacobian(model, F, p)
-        try:
-            step = np.linalg.solve(N, -r)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(N, -r, rcond=None)
-        for k in range(15):  # t = 1, 1/2, ..., 2**-14 < 1e-4
-            cand = p + 0.5 ** k * step
-            r_new = model.velocity(State(F, cand)) - v
-            rn_new = float(np.linalg.norm(r_new))
-            if rn_new < rn:
-                break
-        else:
-            raise NewtonDivergence(
-                f"residual stalled at {rn:.3e} (tol {tol:.1e}) for model {model.name}")
-        p, r, rn = cand, r_new, rn_new
-    if rn <= tol:
-        return p
-    raise NewtonDivergence(
-        f"residual {rn:.3e} above tol {tol:.1e} after {max_iter} iterations")
-
-
-def _momentum_of_stack(model, F, v, p, tol, max_iter):
-    """:func:`momentum_from_velocity` on stacks; each state halves its own step."""
-
     def residual(q):
         r = model.velocity(State(F, q)) - v
         return r, np.linalg.norm(r, axis=-1)
 
+    p = v.copy() if p0 is None else np.array(p0, dtype=float)
     r, rn = residual(p)
     for it in range(max_iter + 1):
         live = rn > tol

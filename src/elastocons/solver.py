@@ -21,9 +21,10 @@ import numpy as np
 
 from .constitutive import (ConstitutiveModel, State, as_batched, elasticity_map,
                            fd_velocity_jacobian, momentum_from_velocity)
-from .errors import Blowup, NonHyperbolicState
+from .errors import Blowup, NonHyperbolicState, PreconditionFailure
 from .hyperbolicity import acoustic_spectrum
 from .tensors import EYE3, outer
+from .tolerances import DEFAULT
 
 BLOWUP_NORM = 1e12
 CELL_BLOCK = 128  # cells per S4 evaluation: a (128, 3, 3, 3, 3) stack is 83 kB
@@ -120,12 +121,20 @@ def flux(model: ConstitutiveModel, U: State):
 # ---------------------------------------------------------------------------
 
 def _velocity_coefficient_root(model: ConstitutiveModel, F, p) -> np.ndarray:
-    """Symmetric square root of d(velocity)/dp at the first state of (F, p).
+    """Symmetric square root of the velocity coefficient N = d(velocity)/dp.
 
-    For admissible models the velocity coefficient is a state-independent
-    symmetric positive tensor, so one sample suffices.
+    The solver needs N to be one state-independent symmetric positive tensor,
+    which holds for models that pass normality and Galilean invariance.  N is
+    evaluated at every state of (F, p); PreconditionFailure is raised when it
+    varies by more than galilean_tol * max(1, |N|).
     """
-    N = fd_velocity_jacobian(model, np.reshape(F, (-1, 3, 3))[0], np.reshape(p, (-1, 3))[0])
+    N = fd_velocity_jacobian(model, np.reshape(F, (-1, 3, 3)), np.reshape(p, (-1, 3)))
+    spread = float((N.max(axis=0) - N.min(axis=0)).max())
+    if spread > DEFAULT.galilean_tol * max(1.0, float(np.abs(N).max())):
+        raise PreconditionFailure(
+            f"velocity coefficient d(velocity)/dp varies by {spread:.3e} across the field; "
+            "the solver needs a state-independent one")
+    N = N[0]
     evals, evecs = np.linalg.eigh(0.5 * (N + N.T))
     if float(evals.min()) <= 0.0:
         raise NonHyperbolicState(
@@ -281,7 +290,8 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
 
     Every step recomputes the wave speeds of every cell and takes exactly
     dt = cfl / sum_a (max c_a / h_a), with no safety factor.  Raises Blowup
-    when any state norm exceeds 1e12 or a value goes non-finite.
+    when any state norm exceeds 1e12 or a value goes non-finite, and
+    PreconditionFailure when d(velocity)/dp varies across the initial field.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -344,7 +354,7 @@ def affine_initial_field(model: ConstitutiveModel, grid: Grid, A, B, a, b, c,
     A, B, a, b, c, x0 = (np.asarray(x, dtype=float) for x in (A, B, a, b, c, x0))
     xr = grid.positions() - x0
     F = A + (xr @ a)[..., None, None] * outer(b, a)
-    p = momentum_from_velocity(as_batched(model), F, xr @ B.T + c)
+    p = momentum_from_velocity(model, F, xr @ B.T + c)
     return Field(grid=grid, F=F, p=p)
 
 
@@ -386,7 +396,7 @@ def sine_wave_field(model: ConstitutiveModel, grid: Grid, polarization: str,
     pos = grid.positions()
     s = amplitude * np.sin(k * pos[..., axis])[..., None]
     F = EYE3 + s[..., None] * outer(d, e_ax)
-    p = momentum_from_velocity(as_batched(model), F, -c * s * d)
+    p = momentum_from_velocity(model, F, -c * s * d)
     return Field(grid=grid, F=F, p=p)
 
 

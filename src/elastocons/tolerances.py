@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -40,8 +38,3 @@ DEFAULT = Tolerances()
 # Central finite-difference steps: balance truncation vs roundoff at double
 # precision for O(1) fields.
 FD_SCALE = 1e-5
-
-
-def fd_step(x) -> float:
-    """Step size for central differences around x (array or scalar)."""
-    return FD_SCALE * max(1.0, float(np.linalg.norm(np.asarray(x, dtype=float))))

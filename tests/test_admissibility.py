@@ -309,3 +309,16 @@ def test_default_shifts_deterministic():
     assert len(s1) == len(s2) == 9
     for u, v in zip(s1, s2):
         assert np.array_equal(u, v)
+
+
+def test_checks_return_python_bool_and_float():
+    ell = draw_ellipticity_probes(5, np.random.default_rng(SEED))
+    for m in (classical_model(1.0, neo_hookean(LAM, MU)), corrupted_model("parity")):
+        probes = _probes(10)
+        for ok, value in (check_normality(m, probes), check_ellipticity(m, ell),
+                          check_thermo(m, probes), check_maxwell(m, probes),
+                          check_galilean(m, probes), check_parity(m, probes)):
+            assert type(ok) is bool, m.name
+            values = value if isinstance(value, tuple) else (value,)
+            assert all(type(x) is float for x in values), m.name
+        assert all(type(ok) is bool for ok in full_report(m, 10, SEED).results().values())

@@ -216,3 +216,14 @@ def test_cli_monitors_have_no_nan(tmp_path):
     # rows follow steps 0 and 4, 8, ... of monitor_every = 4, plus the final one
     assert (int(rows[-1].split(",")[0]) - 1) % 4 != 0
     assert all(np.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
+def test_cli_simulate_refuses_the_galilean_control(tmp_path, capsys):
+    tmp = str(tmp_path)
+    text = FAST_ALL.replace("sigma = linear_isotropic",
+                            "sigma = linear_isotropic\ncorruption = galilean")
+    cfgp = _write(tmp, text)
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--mode", "simulate", "--out", out]) == 4
+    assert "simulation: FAIL (velocity coefficient" in capsys.readouterr().out
+    assert not os.path.exists(os.path.join(out, "monitors.csv"))

@@ -3,14 +3,14 @@ import pytest
 from field_fixtures import gradient_field_3d
 
 from elastocons import (Field, Grid, State, affine_initial_field,
-                        classical_model, flux, involution_residual,
+                        classical_model, corrupted_model, flux, involution_residual,
                         linear_isotropic, measure_wave_speed,
                         momentum_from_velocity, neo_hookean, plane_wave_speed,
                         rest_field, run, sine_wave_field, st_venant_kirchhoff,
                         step_lax_friedrichs, stored_energy_registry,
                         tensor_mass_model, total_deformation, total_energy,
                         total_momentum, uniform_field)
-from elastocons.errors import Blowup, NonHyperbolicState
+from elastocons.errors import Blowup, NonHyperbolicState, PreconditionFailure
 
 LAM, MU = 2.0, 1.0
 
@@ -260,14 +260,26 @@ def test_3d_time_step_with_coupled_velocity_coefficient():
 
 
 def test_tensor_mass_1d_wave_speeds():
-    # E(e_0) = diag(4, 1, 1) for linear isotropic (2, 1); V E = diag(2, 1.25, 2)
+    # E(e_0) = diag(4, 1, 1) for linear isotropic (2, 1); V E = diag(2, 1.25, 2),
+    # and diag(4, 1, 1) for unit scalar density (the speeds of acceptance criterion 6)
     # a third of a period: the measured lag, not the wrap count, carries the speed
-    m = tensor_mass_model(np.diag([0.5, 1.25, 2.0]), linear_isotropic(LAM, MU))
+    tensor = tensor_mass_model(np.diag([0.5, 1.25, 2.0]), linear_isotropic(LAM, MU))
     L = 1.0
-    for pol, comp, c_exact in (("longitudinal", 0, np.sqrt(2.0)),
-                               ("transverse", 1, np.sqrt(1.25))):
+    for m, pol, comp, c_exact in ((tensor, "longitudinal", 0, np.sqrt(2.0)),
+                                  (tensor, "transverse", 1, np.sqrt(1.25)),
+                                  (_iso_model(), "longitudinal", 0, 2.0),
+                                  (_iso_model(), "transverse", 1, 1.0)):
         f0 = sine_wave_field(m, Grid.line(200, L), pol, amplitude=0.01)
         t = L / (3.0 * c_exact)
         fT, _ = run(m, f0, t_end=t, cfl=0.5, monitor_every=10 ** 9)
         measured = measure_wave_speed(f0.p[:, comp], fT.p[:, comp], t, L, c_exact)
         assert measured == pytest.approx(c_exact, rel=0.02)
+
+
+def test_run_refuses_a_state_dependent_velocity_coefficient():
+    # the Galilean control's density 1 + |F - 1|^2 varies along the wave, so no
+    # single V scales the wave speeds of every cell
+    m = corrupted_model("galilean")
+    fld = sine_wave_field(m, Grid.line(32), "longitudinal", amplitude=0.01)
+    with pytest.raises(PreconditionFailure, match="varies"):
+        run(m, fld, t_end=0.01, cfl=0.5)
