@@ -19,11 +19,11 @@ __version__ = "0.1.0"
 
 from .tensors import apply4, eig_general, eig_sym, outer
 from .constitutive import (ConstitutiveModel, MassDensityTensor, State,
-                           StoredEnergy, as_batched, classical_model,
+                           StoredEnergy, classical_model,
                            corrupted_model, elasticity_map, fd_derivative,
                            fd_elasticity_tensor, fd_stress, fd_velocity_jacobian,
                            linear_isotropic,
-                           momentum_from_velocity, neo_hookean,
+                           momentum_from_velocity, neo_hookean, pointwise_model,
                            st_venant_kirchhoff, stored_energy_by_name,
                            stored_energy_registry, tensor_mass_model)
 from .admissibility import (AdmissibilityReport, RepresentationResult,

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constitutive import (ConstitutiveModel, State, as_batched, fd_derivative,
-                           fd_velocity_jacobian, momentum_from_velocity)
+from .constitutive import (ConstitutiveModel, State, fd_derivative, fd_velocity_jacobian,
+                           momentum_from_velocity)
 from .errors import FitDegenerate, NewtonDivergence, NotUnit, PreconditionFailure
 from .tensors import EYE3
 from .tolerances import DEFAULT
@@ -71,27 +71,25 @@ def _draw_F(rng: np.random.Generator, min_det: float = 0.3) -> np.ndarray:
             return F
 
 
-def draw_states(n: int, rng: np.random.Generator, momentum_radius: float = 3.0,
-                include_anchor: bool = True) -> list[State]:
+def draw_states(n: int, rng: np.random.Generator) -> list[State]:
     """Random probe states; the first is always (identity, zero momentum).
 
     The zero-momentum anchor makes degenerate momentum jacobians at the
-    origin visible to the normality check.
+    origin visible to the normality check; the others have |p| <= 3.
     """
-    probes = [State(EYE3.copy(), np.zeros(3))] if include_anchor else []
+    probes = [State(EYE3.copy(), np.zeros(3))]
     while len(probes) < n:
-        probes.append(State(_draw_F(rng), _uniform_ball(rng, momentum_radius)))
+        probes.append(State(_draw_F(rng), _uniform_ball(rng, 3.0)))
     return probes
 
 
-def draw_ellipticity_probes(n: int, rng: np.random.Generator,
-                            velocity_radius: float = 0.5):
-    """Random (F, v, a) triples with unit direction vectors a."""
+def draw_ellipticity_probes(n: int, rng: np.random.Generator):
+    """Random (F, v, a) triples with |v| <= 0.5 and unit direction vectors a."""
     out = []
     for _ in range(n):
         a = rng.normal(size=3)
         a /= np.linalg.norm(a)
-        out.append((_draw_F(rng), _uniform_ball(rng, velocity_radius), a))
+        out.append((_draw_F(rng), _uniform_ball(rng, 0.5), a))
     return out
 
 
@@ -117,14 +115,13 @@ def _stack(probes: Sequence[State]) -> State:
 
 def fd_energy_gradients(model: ConstitutiveModel, s: State):
     """(d tau / dF, d tau / dp) by central differences, at one state or a stack."""
-    energy = as_batched(model).energy
-    return fd_derivative(energy, s, "F"), fd_derivative(energy, s, "p")
+    return fd_derivative(model.energy, s, "F"), fd_derivative(model.energy, s, "p")
 
 
 def stress_tilde(model: ConstitutiveModel, F, v, p_seed=None) -> np.ndarray:
     """Velocity-eliminated stress S~(F, v) = stress(F, p(F, v))."""
     p = momentum_from_velocity(model, F, v, p0=p_seed)
-    return as_batched(model).stress(State(F, p))
+    return model.stress(State(F, p))
 
 
 def ellipticity_tensor(model: ConstitutiveModel, F, v, a) -> np.ndarray:
@@ -135,7 +132,6 @@ def ellipticity_tensor(model: ConstitutiveModel, F, v, a) -> np.ndarray:
     momentum, so the derivative is taken along constant velocity, not
     constant momentum.
     """
-    model = as_batched(model)
     F, v, a = (np.asarray(x, dtype=float) for x in (F, v, a))
 
     def stress_at_velocity(t):  # t.p is the Newton seed: its probe's momentum
@@ -149,72 +145,62 @@ def ellipticity_tensor(model: ConstitutiveModel, F, v, a) -> np.ndarray:
 # The six checks
 # ---------------------------------------------------------------------------
 
-def check_normality(model: ConstitutiveModel, probes: Sequence[State],
-                    tol: float | None = None):
+def check_normality(model: ConstitutiveModel, probes: Sequence[State]):
     """Minimum |det N| over probes; passes when it stays above tolerance."""
     if not probes:
         raise ValueError("probe set must be non-empty")
-    tol = DEFAULT.normality_tol if tol is None else tol
     s = _stack(probes)
     min_det = float(np.abs(np.linalg.det(fd_velocity_jacobian(model, s.F, s.p))).min())
-    return min_det > tol, min_det
+    return min_det > DEFAULT.normality_tol, min_det
 
 
-def check_ellipticity(model: ConstitutiveModel, probes, tol: float | None = None):
+def check_ellipticity(model: ConstitutiveModel, probes):
     """Minimum |det E(F, v; a)| over (F, v, a) probes."""
-    tol = DEFAULT.ellipticity_tol if tol is None else tol
     F, v, a = (np.array(x) for x in zip(*probes))
     min_det = float(np.abs(np.linalg.det(ellipticity_tensor(model, F, v, a))).min())
-    return min_det > tol, min_det
+    return min_det > DEFAULT.ellipticity_tol, min_det
 
 
-def check_thermo(model: ConstitutiveModel, probes: Sequence[State],
-                 tol: float | None = None):
+def check_thermo(model: ConstitutiveModel, probes: Sequence[State]):
     """Worst residuals of velocity = d tau/dp and stress = d tau/dF."""
-    tol = DEFAULT.thermo_tol if tol is None else tol
-    model, s = as_batched(model), _stack(probes)
+    s = _stack(probes)
     gF, gp = fd_energy_gradients(model, s)
     res_v = float(np.abs(gp - model.velocity(s)).max())
     res_S = float(np.abs(gF - model.stress(s)).max())
+    tol = DEFAULT.thermo_tol
     return (res_v <= tol and res_S <= tol), (res_v, res_S)
 
 
-def check_maxwell(model: ConstitutiveModel, probes: Sequence[State],
-                  tol: float | None = None):
+def check_maxwell(model: ConstitutiveModel, probes: Sequence[State]):
     """Worst residual of dS_ij/dp_h = dv_h/dF_ij over probes."""
-    tol = DEFAULT.maxwell_tol if tol is None else tol
-    model, s = as_batched(model), _stack(probes)
+    s = _stack(probes)
     dSdp = fd_derivative(model.stress, s, "p")
     dvdF = np.moveaxis(fd_derivative(model.velocity, s, "F"), -3, -1)
     worst = float(np.abs(dSdp - dvdF).max())
-    return worst <= tol, worst
+    return worst <= DEFAULT.maxwell_tol, worst
 
 
 def check_galilean(model: ConstitutiveModel, probes: Sequence[State],
-                   shifts: Sequence[np.ndarray] | None = None,
-                   tol: float | None = None):
+                   shifts: Sequence[np.ndarray] | None = None):
     """Spread of the velocity shift defect across probes.
 
     For each shift d the difference velocity(F, p + d) - velocity(F, p) must
     not depend on the state; the deviation is the largest per-component
     spread (max - min across probes), maximized over shifts.
     """
-    tol = DEFAULT.galilean_tol if tol is None else tol
     d = np.reshape(default_shifts() if shifts is None else shifts, (-1, 1, 3))
-    model, s = as_batched(model), _stack(probes)
+    s = _stack(probes)
     shifted = State(np.broadcast_to(s.F, d.shape[:1] + s.F.shape), s.p + d)
     diffs = model.velocity(shifted) - model.velocity(s)  # [shift, probe, component]
     deviation = float((diffs.max(axis=1) - diffs.min(axis=1)).max(initial=0.0))
-    return deviation <= tol, deviation
+    return deviation <= DEFAULT.galilean_tol, deviation
 
 
-def check_parity(model: ConstitutiveModel, probes: Sequence[State],
-                 tol: float | None = None):
+def check_parity(model: ConstitutiveModel, probes: Sequence[State]):
     """Worst asymmetry |tau(F, p) - tau(F, -p)| over probes."""
-    tol = DEFAULT.parity_tol if tol is None else tol
-    model, s = as_batched(model), _stack(probes)
+    s = _stack(probes)
     asym = float(np.abs(model.energy(s) - model.energy(State(s.F, -s.p))).max())
-    return asym <= tol, asym
+    return asym <= DEFAULT.parity_tol, asym
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +275,8 @@ class AdmissibilityReport:
         return "\n".join(lines) + "\n"
 
 
-def full_report(model: ConstitutiveModel, n_probes: int = 100, seed: int = 0,
-                momentum_radius: float = 3.0) -> AdmissibilityReport:
+def full_report(model: ConstitutiveModel, n_probes: int = 100,
+                seed: int = 0) -> AdmissibilityReport:
     """Run all six checks on freshly drawn seeded probes.
 
     A Newton divergence inside the ellipticity check (which needs the
@@ -298,7 +284,7 @@ def full_report(model: ConstitutiveModel, n_probes: int = 100, seed: int = 0,
     that check rather than raised, so a report is always produced.
     """
     rng = np.random.default_rng(seed)
-    probes = draw_states(n_probes, rng, momentum_radius=momentum_radius)
+    probes = draw_states(n_probes, rng)
     ell_probes = draw_ellipticity_probes(n_probes, rng)
     notes = {}
 
@@ -347,8 +333,8 @@ class RepresentationResult:
     sigma_fit: Callable[[np.ndarray], float]
 
 
-def extract_representation(model: ConstitutiveModel, probes: Sequence[State],
-                           shifts: Sequence[np.ndarray] | None = None) -> RepresentationResult:
+def extract_representation(model: ConstitutiveModel,
+                           probes: Sequence[State]) -> RepresentationResult:
     """Fit v = V p at a reference F and certify the additive energy split.
 
     Preconditions: the model must pass the normality, galilean-variance and
@@ -359,7 +345,7 @@ def extract_representation(model: ConstitutiveModel, probes: Sequence[State],
     ok, _ = check_normality(model, probes)
     if not ok:
         failed.append("normality")
-    ok, _ = check_galilean(model, probes, shifts)
+    ok, _ = check_galilean(model, probes)
     if not ok:
         failed.append("galilean")
     ok, _ = check_parity(model, probes)
@@ -369,7 +355,7 @@ def extract_representation(model: ConstitutiveModel, probes: Sequence[State],
         raise PreconditionFailure(
             "representation preconditions violated: " + ", ".join(failed))
 
-    model, s = as_batched(model), _stack(probes)
+    s = _stack(probes)
     fit = s.p[0::2]
     held_out = State(s.F[1::2], s.p[1::2]) if len(probes) > 1 else s
 

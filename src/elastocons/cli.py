@@ -22,9 +22,8 @@ import numpy as np
 from . import __version__
 from .admissibility import draw_states, extract_representation, full_report
 from .config import MODES, RunConfig, load_config
-from .constitutive import (ConstitutiveModel, State, as_batched, classical_model,
-                           corrupted_model, elasticity_map, stored_energy_by_name,
-                           tensor_mass_model)
+from .constitutive import (ConstitutiveModel, State, classical_model, corrupted_model,
+                           elasticity_map, stored_energy_by_name, tensor_mass_model)
 from .errors import (Blowup, ConfigError, ElastoconsError, NewtonDivergence,
                      NonHyperbolicState, PreconditionFailure)
 from .hyperbolicity import scan_directions
@@ -158,7 +157,7 @@ def _write_snapshot(path: str, cfg: RunConfig, model: ConstitutiveModel, fld: Fi
 
 
 def mode_simulate(cfg: RunConfig, out_dir: str) -> int:
-    model = as_batched(build_model(cfg))
+    model = build_model(cfg)
     try:
         fld = _build_field(cfg, model)
         _write_snapshot(os.path.join(out_dir, "snapshot_initial.csv"), cfg, model, fld)
@@ -209,31 +208,19 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, help="override the probe seed")
     ap.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = ap.parse_args(argv)
+    overrides = {key: str(value) for key, value in
+                 (("mode", args.mode), ("out", args.out), ("seed", args.seed)) if value is not None}
+    if args.quiet:
+        overrides["quiet"] = "true"
 
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, overrides)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.mode:
-        cfg.mode = args.mode
-        if cfg.model == "tensor" and cfg.mode in ("hyperbolicity", "all"):
-            print("error: hyperbolicity analysis supports only model = classical",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-    if args.out:
-        cfg.out = args.out
-    if args.seed is not None:
-        if args.seed < 0:
-            print("error: seed must be non-negative", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg.seed = args.seed
-    if args.quiet:
-        cfg.quiet = True
 
     try:
         return run_all(cfg)

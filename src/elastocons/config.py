@@ -153,11 +153,14 @@ class _Collector:
         return np.array(entries)
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, run_overrides: dict | None = None) -> RunConfig:
     """Parse and validate configuration text.
 
-    Raises ParseError on malformed text (with line numbers as reported by the
-    parser) and ValidationError listing every invalid section, key or value.
+    ``run_overrides`` (key -> value text) replaces keys of the [run] section
+    before validation, so that they meet the same rules as the file; ``raw``
+    stays the text.  Raises ParseError on malformed text (with line numbers as
+    reported by the parser) and ValidationError listing every invalid
+    section, key or value.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # affine keys A and a differ by case
@@ -165,6 +168,11 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
+    if run_overrides:
+        if not parser.has_section("run"):
+            parser.add_section("run")
+        for key, value in run_overrides.items():
+            parser.set("run", key, value)
 
     col = _Collector(parser)
     for section in parser.sections():
@@ -257,6 +265,6 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, run_overrides: dict | None = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), run_overrides)

@@ -8,9 +8,10 @@ maps
     velocity (F, p) -> v          boundary flux of F
     stress   (F, p) -> S          Piola stress, boundary flux of p
 
-together with an optional analytic elasticity tensor dS/dF; a ``batched``
-model also takes stacks of states (see :func:`as_batched`).  Builders are
-provided for the two standard representations
+together with an optional analytic elasticity tensor dS/dF.  Every map takes
+stacks of states F[..., 3, 3], p[..., 3] and returns one value per state;
+:func:`pointwise_model` loops callables written for one state at a time.
+Builders are provided for the two standard representations
 
     classical:  v = p / rho,   tau = |p|^2 / (2 rho) + sigma(F)
     tensor:     v = V p,       tau = p . V p / 2   + sigma(F)
@@ -22,12 +23,13 @@ negative-control models that each break exactly one admissibility property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import DomainError, NewtonDivergence, NotSymmetric, Singular
+from .errors import (DomainError, NewtonDivergence, NotSymmetric, PreconditionFailure,
+                     Singular)
 from .tensors import EYE3, asymmetry, check_finite, outer, sym_part
 from .tolerances import DEFAULT, FD_SCALE
 
@@ -68,14 +70,37 @@ class StoredEnergy:
 
 @dataclass(frozen=True)
 class ConstitutiveModel:
-    """Black-box triple (energy, velocity, stress) on states (F, p)."""
+    """Black-box triple (energy, velocity, stress) on stacks of states (F, p).
+
+    For states with leading shape L, energy returns L, velocity L + (3,),
+    stress L + (3, 3) and analytic_S4 (of F) L + (3, 3, 3, 3).  Construction
+    evaluates each map once on a two-state stack and raises
+    PreconditionFailure, naming the map, if it raises or returns another shape.
+    """
 
     name: str
-    energy: Callable[[State], float]
+    energy: Callable[[State], np.ndarray]
     velocity: Callable[[State], np.ndarray]
     stress: Callable[[State], np.ndarray]
     analytic_S4: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    batched: bool = False  # all four callables exist and take stacked states
+
+    def __post_init__(self):
+        s = State(np.tile(EYE3, (2, 1, 1)), np.zeros((2, 3)))
+        maps = [("energy", self.energy, s, ()), ("velocity", self.velocity, s, (3,)),
+                ("stress", self.stress, s, (3, 3)),
+                ("analytic_S4", self.analytic_S4, s.F, (3, 3, 3, 3))]
+        for name, fn, arg, shape in maps:
+            if fn is None:
+                continue
+            try:
+                got = np.shape(fn(arg))
+            except Exception as exc:
+                raise PreconditionFailure(
+                    f"model {self.name}: {name} fails on a stack of two states ({exc!r})") from exc
+            if got != (2,) + shape:
+                raise PreconditionFailure(
+                    f"model {self.name}: {name} returns shape {got} for a stack of two "
+                    f"states, expected {(2,) + shape}; wrap pointwise maps in pointwise_model")
 
 
 @dataclass(frozen=True)
@@ -302,9 +327,15 @@ def fd_elasticity_tensor(se: StoredEnergy, F) -> np.ndarray:
 
 
 def elasticity_map(model_or_se) -> Callable[[np.ndarray], np.ndarray]:
-    """F -> dS/dF for a model or stored energy, analytic when possible."""
+    """F -> dS/dF for a model or stored energy, analytic when possible.
+
+    Without an analytic map, S4 is differenced from the stress at zero momentum.
+    """
     if isinstance(model_or_se, ConstitutiveModel):
-        return as_batched(model_or_se).analytic_S4
+        model = model_or_se
+        if model.analytic_S4 is not None:
+            return model.analytic_S4
+        return lambda F: fd_derivative(model.stress, _at_rest(F))
     se = model_or_se
     if se.analytic_elasticity is not None:
         return se.analytic_elasticity
@@ -313,12 +344,17 @@ def elasticity_map(model_or_se) -> Callable[[np.ndarray], np.ndarray]:
 
 def fd_velocity_jacobian(model: ConstitutiveModel, F, p) -> np.ndarray:
     """N[..., i, h] = d velocity_i / d p_h at one state or stacks F[..., 3, 3], p[..., 3]."""
-    return fd_derivative(as_batched(model).velocity, State(F, p), "p")
+    return fd_derivative(model.velocity, State(F, p), "p")
 
 
 # ---------------------------------------------------------------------------
 # Model builders
 # ---------------------------------------------------------------------------
+
+def _pp(p) -> np.ndarray:
+    """p . p per state, as a row times a column: for one state, the bits of a plain dot product."""
+    return (p[..., None, :] @ p[..., :, None])[..., 0, 0]
+
 
 def _stress_from(se: StoredEnergy) -> Callable[[np.ndarray], np.ndarray]:
     if se.analytic_stress is not None:
@@ -333,13 +369,10 @@ def classical_model(rho: float, se: StoredEnergy) -> ConstitutiveModel:
     stress = _stress_from(se)
     return ConstitutiveModel(
         name=f"classical(rho={rho:g},{se.name})",
-        # p.p as row times column: for one state, the same bits as a plain dot product
-        energy=lambda s: ((s.p[..., None, :] @ s.p[..., :, None])[..., 0, 0] / (2.0 * rho)
-                          + se.sigma(s.F)),
+        energy=lambda s: _pp(s.p) / (2.0 * rho) + se.sigma(s.F),
         velocity=lambda s: s.p / rho,
         stress=lambda s: stress(s.F),
-        analytic_S4=se.analytic_elasticity,
-        batched=None not in (se.analytic_stress, se.analytic_elasticity),
+        analytic_S4=elasticity_map(se),
     )
 
 
@@ -356,21 +389,17 @@ def tensor_mass_model(V, se: StoredEnergy) -> ConstitutiveModel:
         energy=lambda s: 0.5 * (s.p * (s.p @ VmT)).sum(-1) + se.sigma(s.F),
         velocity=lambda s: s.p @ VmT,
         stress=lambda s: stress(s.F),
-        analytic_S4=se.analytic_elasticity,
-        batched=None not in (se.analytic_stress, se.analytic_elasticity),
+        analytic_S4=elasticity_map(se),
     )
 
 
-def as_batched(model: ConstitutiveModel) -> ConstitutiveModel:
-    """The model if it is batched, else an adapter that loops it over stacks.
+def pointwise_model(name: str, energy, velocity, stress, analytic_S4=None) -> ConstitutiveModel:
+    """A model from callables that take one state (F[3, 3], p[3]) at a time.
 
-    The adapter lets pointwise black boxes such as the negative controls run
-    on whole fields; its S4 loops the model's analytic map or, without one,
+    Each callable is looped over the states of a stack: the package's only
+    per-state Python loop.  Without ``analytic_S4``, :func:`elasticity_map`
     differences the looped stress.
     """
-    if model.batched:
-        return model
-
     def each(fn, shape, of_states=True):
         def call(x):
             lead = x.p.shape[:-1] if of_states else np.shape(x)[:-2]
@@ -381,16 +410,13 @@ def as_batched(model: ConstitutiveModel) -> ConstitutiveModel:
             return np.fromiter(map(fn, items), np.dtype((float, shape))).reshape(lead + shape)
         return call
 
-    stress = each(model.stress, (3, 3))
-    S4 = (each(model.analytic_S4, (3, 3, 3, 3), False) if model.analytic_S4 is not None
-          else lambda F: fd_derivative(stress, _at_rest(F)))
-    return replace(model, energy=each(model.energy, ()), velocity=each(model.velocity, (3,)),
-                   stress=stress, analytic_S4=S4, batched=True)
+    return ConstitutiveModel(
+        name=name, energy=each(energy, ()), velocity=each(velocity, (3,)),
+        stress=each(stress, (3, 3)),
+        analytic_S4=None if analytic_S4 is None else each(analytic_S4, (3, 3, 3, 3), False))
 
 
-def momentum_from_velocity(model: ConstitutiveModel, F, v,
-                           p0=None,
-                           tol: float | None = None,
+def momentum_from_velocity(model: ConstitutiveModel, F, v, p0=None,
                            max_iter: int | None = None) -> np.ndarray:
     """Invert the velocity map at fixed F by damped Newton iteration.
 
@@ -406,10 +432,9 @@ def momentum_from_velocity(model: ConstitutiveModel, F, v,
         If the velocity residual is not reduced below tolerance within the
         iteration budget; the message names the first such state.
     """
-    model = as_batched(model)
     F = np.asarray(F, dtype=float)
     v = np.asarray(v, dtype=float)
-    tol = DEFAULT.newton_tol if tol is None else tol
+    tol = DEFAULT.newton_tol
     max_iter = DEFAULT.newton_max_iter if max_iter is None else max_iter
 
     def residual(q):
@@ -468,8 +493,8 @@ def corrupted_model(kind: str, lam: float = 2.0, mu: float = 1.0,
         # velocity = |p|^2 p has a singular momentum jacobian at p = 0
         return ConstitutiveModel(
             name="control_normality",
-            energy=lambda s: 0.25 * float(s.p @ s.p) ** 2 + se.sigma(s.F),
-            velocity=lambda s: float(s.p @ s.p) * s.p,
+            energy=lambda s: 0.25 * _pp(s.p) ** 2 + se.sigma(s.F),
+            velocity=lambda s: _pp(s.p)[..., None] * s.p,
             stress=lambda s: stress(s.F),
             analytic_S4=se.analytic_elasticity,
         )
@@ -491,7 +516,7 @@ def corrupted_model(kind: str, lam: float = 2.0, mu: float = 1.0,
             name="control_maxwell",
             energy=base.energy,
             velocity=base.velocity,
-            stress=lambda s: stress(s.F) + s.p[0] * spike,
+            stress=lambda s: stress(s.F) + s.p[..., 0, None, None] * spike,
             analytic_S4=None,
         )
     if kind == "galilean":
@@ -499,15 +524,17 @@ def corrupted_model(kind: str, lam: float = 2.0, mu: float = 1.0,
         # velocity and stress stay mutually consistent so only the invariance
         # defect varies across states
         def rho_of(F):
+            # once per distinct F: the broadcast (zero-stride) axes of a stack keep length 1
+            F = F[tuple(slice(0, 1) if k == 0 else slice(None) for k in F.strides[:-2])]
             D = F - EYE3
-            return 1.0 + float(np.sum(D * D))
+            return 1.0 + (D * D).sum((-2, -1))
 
         return ConstitutiveModel(
             name="control_galilean",
-            energy=lambda s: 0.5 * float(s.p @ s.p) / rho_of(s.F) + se.sigma(s.F),
-            velocity=lambda s: s.p / rho_of(s.F),
-            stress=lambda s: stress(s.F)
-            - float(s.p @ s.p) * (s.F - EYE3) / rho_of(s.F) ** 2,
+            energy=lambda s: 0.5 * _pp(s.p) / rho_of(s.F) + se.sigma(s.F),
+            velocity=lambda s: s.p / rho_of(s.F)[..., None],
+            stress=lambda s: stress(s.F) - _pp(s.p)[..., None, None]
+            * (s.F - EYE3) / (rho_of(s.F) ** 2)[..., None, None],
             analytic_S4=None,
         )
     if kind == "parity":
@@ -515,7 +542,7 @@ def corrupted_model(kind: str, lam: float = 2.0, mu: float = 1.0,
         e1 = np.array([1.0, 0.0, 0.0])
         return ConstitutiveModel(
             name="control_parity",
-            energy=lambda s: base.energy(s) + float(s.p @ e1),
+            energy=lambda s: base.energy(s) + s.p[..., 0],  # p . e1
             velocity=lambda s: s.p / rho + e1,
             stress=base.stress,
             analytic_S4=se.analytic_elasticity,

@@ -105,8 +105,7 @@ class EigenStructure:
     spectral_scale: float           # largest singular value of the matrix
 
 
-def eigenstructure(M, zero_band: float | None = None,
-                   indep_tol: float | None = None) -> EigenStructure:
+def eigenstructure(M) -> EigenStructure:
     """Zero multiplicity (geometric, via rank) and nonzero eigenpairs of M[..., n, n].
 
     The eigenvectors of zero-band eigenvalues are masked to zero columns, so
@@ -114,12 +113,9 @@ def eigenstructure(M, zero_band: float | None = None,
     modes; with k of them its k-th singular value is ``independence_sv``.
     """
     M = np.asarray(M, dtype=float)
-    zero_band = DEFAULT.zero_band if zero_band is None else zero_band
-    indep_tol = DEFAULT.indep_sv_tol if indep_tol is None else indep_tol
-
     svals = np.linalg.svd(M, compute_uv=False)
     smax = svals[..., 0]
-    threshold = zero_band * smax[..., None]
+    threshold = DEFAULT.zero_band * smax[..., None]
     evals, evecs = eig_general(M)
     nonzero = np.abs(evals) > threshold
     unit = evecs / np.linalg.norm(evecs, axis=-2, keepdims=True)
@@ -131,7 +127,7 @@ def eigenstructure(M, zero_band: float | None = None,
         eigenvalues=evals,
         nonzero_pairs=([(evals[i], evecs[:, i]) for i in np.flatnonzero(nonzero)]
                        if M.ndim == 2 else None),
-        independent_count=np.sum(sv > indep_tol, axis=-1),
+        independent_count=np.sum(sv > DEFAULT.indep_sv_tol, axis=-1),
         independence_sv=np.take_along_axis(sv, kth, axis=-1)[..., 0],
         spectral_scale=smax,
     )
@@ -195,21 +191,17 @@ class HyperbolicityReport:
                    r.zero_multiplicity, r.independent_count)
 
 
-def scan_directions(S4_at, F, rho: float, n_dirs: int = 256,
-                    include_baseline: bool = True,
-                    se_tol: float | None = None) -> HyperbolicityReport:
+def scan_directions(S4_at, F, rho: float, n_dirs: int = 256) -> HyperbolicityReport:
     """Scan acoustic eigenvalues and Jacobian eigenstructure over directions.
 
     ``S4_at`` maps a deformation gradient to the elasticity tensor; the scan
-    evaluates it once at F.  The verdict ``strongly_elliptic`` certifies
+    evaluates it once at F, along ``n_dirs`` Fibonacci directions and the 26
+    cube directions.  The verdict ``strongly_elliptic`` certifies
     positivity of every sampled acoustic tensor, i.e. strict rank-one
     convexity of the stored energy at F, at scan resolution.
     """
-    se_tol = DEFAULT.se_tol if se_tol is None else se_tol
     S4 = np.asarray(S4_at(np.asarray(F, dtype=float)), dtype=float)
-    dirs = fibonacci_sphere(n_dirs)
-    if include_baseline:
-        dirs = np.vstack([dirs, baseline_directions()])
+    dirs = np.vstack([fibonacci_sphere(n_dirs), baseline_directions()])
 
     evals = np.empty((len(dirs), 3))
     zero_mult, indep = np.empty((2, len(dirs)), dtype=int)
@@ -227,7 +219,7 @@ def scan_directions(S4_at, F, rho: float, n_dirs: int = 256,
     return HyperbolicityReport(
         records=records,
         rho=rho,
-        strongly_elliptic=bool(evals[worst, -1] > se_tol),
+        strongly_elliptic=bool(evals[worst, -1] > DEFAULT.se_tol),
         min_eigenvalue=float(evals[worst, -1]),
         worst_direction=dirs[worst],
     )
@@ -238,12 +230,11 @@ def min_acoustic_eigenvalue(S4, dirs) -> float:
     return float(acoustic_spectrum(S4, _require_unit(dirs))[1].min())
 
 
-def ellipticity_loss_bisection(S4_at, s_lo: float, s_hi: float,
-                               n_dirs: int = 64, iters: int = 50) -> float:
+def ellipticity_loss_bisection(S4_at, s_lo: float, s_hi: float, n_dirs: int = 64) -> float:
     """Locate the uniform-stretch level where strong ellipticity is lost.
 
     Scans F = s * identity; requires the minimum acoustic eigenvalue to have
-    opposite signs at the bracket ends, then bisects the sign change.
+    opposite signs at the bracket ends, then bisects the sign change 50 times.
     """
     dirs = np.vstack([fibonacci_sphere(n_dirs), baseline_directions()])
 
@@ -254,7 +245,7 @@ def ellipticity_loss_bisection(S4_at, s_lo: float, s_hi: float,
     if g_lo * g_hi > 0:
         raise ValueError(
             f"no sign change on [{s_lo}, {s_hi}]: g = ({g_lo:.3e}, {g_hi:.3e})")
-    for _ in range(iters):
+    for _ in range(50):
         mid = 0.5 * (s_lo + s_hi)
         if g_lo * g(mid) <= 0:
             s_hi = mid

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .constitutive import (ConstitutiveModel, State, as_batched, elasticity_map,
-                           fd_velocity_jacobian, momentum_from_velocity)
+from .constitutive import (ConstitutiveModel, State, elasticity_map, fd_velocity_jacobian,
+                           momentum_from_velocity)
 from .errors import Blowup, NonHyperbolicState, PreconditionFailure
 from .hyperbolicity import acoustic_spectrum
 from .tensors import EYE3, outer
@@ -105,8 +105,7 @@ def flux(model: ConstitutiveModel, U: State):
     """Conservative fluxes of a state or a stack of states, all three axes.
 
     Returns (flux_F, flux_p) with flux_F[a] = -outer(v, e_a) (the axis-a slice
-    of -v (x) 1) and flux_p[a] = -S e_a, each stacked like U.  Stacks need a
-    batched model (see :func:`as_batched`).
+    of -v (x) 1) and flux_p[a] = -S e_a, each stacked like U.
     """
     v = model.velocity(U)
     S = model.stress(U)
@@ -151,10 +150,11 @@ def _cell_speeds(model: ConstitutiveModel, fld: Field, vroot: np.ndarray) -> np.
     """
     g = fld.grid
     F = fld.F.reshape(-1, 3, 3)
+    S4_of = elasticity_map(model)
     eigs = np.empty((len(F), g.dims, 3))  # descending, per cell and axis
     for start in range(0, len(F), CELL_BLOCK):
         block = slice(start, start + CELL_BLOCK)
-        eigs[block] = acoustic_spectrum(model.analytic_S4(F[block]), EYE3[:g.dims], vroot)[1]
+        eigs[block] = acoustic_spectrum(S4_of(F[block]), EYE3[:g.dims], vroot)[1]
     lo, hi = eigs[..., -1], eigs[..., 0]
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)).max(axis=0))
     bad = np.flatnonzero(lo.min(axis=0) < -1e-10 * scale)
@@ -194,7 +194,6 @@ def step_lax_friedrichs(model: ConstitutiveModel, fld: Field, cfl: float) -> Fie
     """One explicit step with dt from the CFL condition on sampled speeds."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must be in (0, 1], got {cfl}")
-    model = as_batched(model)
     speeds = _cell_speeds(model, fld, _velocity_coefficient_root(model, fld.F, fld.p))
     dt = _time_step(fld.grid, speeds, cfl)
     return _apply_step(model, fld, dt, speeds)
@@ -205,7 +204,7 @@ def step_lax_friedrichs(model: ConstitutiveModel, fld: Field, cfl: float) -> Fie
 # ---------------------------------------------------------------------------
 
 def total_energy(model: ConstitutiveModel, fld: Field) -> float:
-    """Cell sum of the energy density times cell volume (batched model)."""
+    """Cell sum of the energy density times cell volume."""
     return fld.grid.cell_volume * float(model.energy(State(fld.F, fld.p)).sum())
 
 
@@ -250,8 +249,7 @@ def dissipation_residual(model: ConstitutiveModel, before: Field, after: Field,
 
     Stress and velocity are evaluated at the midpoint state, so the residual
     vanishes to second order in dt for smooth trajectories; what remains is
-    the scheme's own dissipation plus chain-rule truncation.  The model must
-    be batched (see :func:`as_batched`).
+    the scheme's own dissipation plus chain-rule truncation.
     """
     mid = State(0.5 * (before.F + after.F), 0.5 * (before.p + after.p))
     tau_rate = (model.energy(State(after.F, after.p))
@@ -300,7 +298,6 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
     if monitor_every < 1:
         raise ValueError("monitor_every must be >= 1")
 
-    model = as_batched(model)
     trace = MonitorTrace()
     energy0 = total_energy(model, fld)
     trace.record(0, fld.t, energy0, energy0, involution_residual(fld), 0.0)

@@ -48,13 +48,13 @@ def asymmetry(M) -> float:
     return float((np.abs(M - M.swapaxes(-1, -2)).max((-2, -1)) / scale).max())
 
 
-def eig_sym(M, sym_tol: float | None = None, vectors: bool = True):
+def eig_sym(M, vectors: bool = True):
     """Eigendecomposition of a symmetric matrix or a stack of them.
 
     Parameters
     ----------
     M : (..., n, n) array
-        Each matrix must be symmetric to within ``sym_tol`` (relative).
+        Each matrix must be symmetric to within ``DEFAULT.sym_tol`` (relative).
     vectors : bool
         When False only the eigenvalues are computed and returned.
 
@@ -72,7 +72,7 @@ def eig_sym(M, sym_tol: float | None = None, vectors: bool = True):
         If the relative asymmetry of M exceeds the tolerance.
     """
     M = np.asarray(M, dtype=float)
-    tol = DEFAULT.sym_tol if sym_tol is None else sym_tol
+    tol = DEFAULT.sym_tol
     # the relative asymmetry is at most the absolute one: full checks only if this fails
     if not np.abs(M - M.swapaxes(-1, -2)).max() <= tol:
         check_finite(M, "eig_sym input")

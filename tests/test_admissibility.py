@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from elastocons import (ConstitutiveModel, State, check_ellipticity,
+from elastocons import (State, check_ellipticity,
                         check_galilean, check_maxwell, check_normality,
                         check_parity, check_thermo, classical_model,
                         corrupted_model, draw_ellipticity_probes, draw_states,
                         extract_representation, find_dissipation_violation,
                         full_report, initial_rate_check, linear_isotropic,
-                        neo_hookean, outer, st_venant_kirchhoff,
+                        neo_hookean, outer, pointwise_model, st_venant_kirchhoff,
                         tensor_mass_model)
 from elastocons.admissibility import NEGATIVE_CONTROL_EXPECTATIONS, default_shifts
 from elastocons.errors import FitDegenerate, PreconditionFailure
@@ -101,8 +101,8 @@ def test_maxwell_coupled_model_constant_cross_term():
     # derivatives equal the same constant array so the residual stays tiny
     se = linear_isotropic(LAM, MU)
     e1 = np.array([1.0, 0.0, 0.0])
-    m = ConstitutiveModel(
-        name="coupled",
+    m = pointwise_model(
+        "coupled",
         energy=lambda s: se.sigma(s.F) + 0.5 * float(s.p @ s.p) + float(s.p @ (s.F @ e1)),
         velocity=lambda s: s.p + s.F @ e1,
         stress=lambda s: se.analytic_stress(s.F) + outer(s.p, e1),
@@ -221,9 +221,8 @@ def test_representation_split_verdict():
         D = s.F - np.eye(3)
         return 0.5 * float(s.p @ s.p) * (1.0 + float(np.sum(D * D))) / rho + se.sigma(s.F)
 
-    bad = ConstitutiveModel(name="split_defect", energy=energy,
-                            velocity=lambda s: s.p / rho,
-                            stress=lambda s: se.analytic_stress(s.F), analytic_S4=None)
+    bad = pointwise_model("split_defect", energy, velocity=lambda s: s.p / rho,
+                          stress=lambda s: se.analytic_stress(s.F))
     assert check_normality(bad, probes)[0] and check_galilean(bad, probes)[0]
     assert check_parity(bad, probes)[0]
     res = extract_representation(bad, probes)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from field_fixtures import gradient_field_3d
 
-from elastocons import (ConstitutiveModel, State, acoustic_tensor,
-                        as_batched, classical_model, momentum_from_velocity,
-                        neo_hookean, run,
-                        step_lax_friedrichs, stored_energy_registry,
-                        tensor_mass_model)
-from elastocons.errors import DomainError, NewtonDivergence
+from elastocons import (ConstitutiveModel, State, acoustic_tensor, classical_model,
+                        corrupted_model, elasticity_map, momentum_from_velocity,
+                        neo_hookean, pointwise_model, run, step_lax_friedrichs,
+                        stored_energy_registry, tensor_mass_model)
+from elastocons.constitutive import CORRUPTION_KINDS
+from elastocons.errors import DomainError, NewtonDivergence, PreconditionFailure
 
 LAM, MU = 2.0, 1.0
 V_TENSOR = np.array([[0.8, 0.1, 0.0], [0.1, 0.6, 0.05], [0.0, 0.05, 0.7]])
@@ -20,6 +20,8 @@ def _models():
     for se in stored_energy_registry(LAM, MU):
         yield classical_model(1.5, se)
         yield tensor_mass_model(V_TENSOR, se)
+    for kind in CORRUPTION_KINDS:
+        yield corrupted_model(kind, LAM, MU)
 
 
 def _stack(rng, shape):
@@ -38,13 +40,13 @@ def test_batched_matches_pointwise(shape):
     F, p = _stack(rng, shape)
     cells = list(np.ndindex(*shape))
     for m in _models():
-        assert m.batched
         st = State(F, p)
+        S4_of = elasticity_map(m)  # differences the stress where analytic_S4 is None
         got = {"energy": m.energy(st), "velocity": m.velocity(st),
-               "stress": m.stress(st), "S4": m.analytic_S4(F)}
+               "stress": m.stress(st), "S4": S4_of(F)}
         for name, value in got.items():
             if name == "S4":
-                ref = [m.analytic_S4(F[c]) for c in cells]
+                ref = [S4_of(F[c]) for c in cells]
             else:
                 ref = [getattr(m, name)(State(F[c], p[c])) for c in cells]
             ref = np.array(ref).reshape(value.shape)
@@ -66,7 +68,7 @@ def test_batched_neo_hookean_rejects_any_inverted_cell():
 
 
 def _pointwise_only(model):
-    """The model's maps behind callables that refuse stacked states."""
+    """The model's maps behind callables that refuse stacked states, looped by pointwise_model."""
     def single(fn):
         def call(s):
             assert s.F.shape == (3, 3) and s.p.shape == (3,)
@@ -77,16 +79,29 @@ def _pointwise_only(model):
         assert np.shape(F) == (3, 3)
         return model.analytic_S4(F)
 
-    return ConstitutiveModel(name="pointwise", energy=single(model.energy),
-                             velocity=single(model.velocity), stress=single(model.stress),
-                             analytic_S4=single_S4)
+    return pointwise_model("pointwise", single(model.energy), single(model.velocity),
+                           single(model.stress), single_S4)
+
+
+def test_the_stack_contract_is_checked_at_construction():
+    se = neo_hookean(LAM, MU)
+    stress = se.analytic_stress
+    # a pointwise energy sums the whole stack into one number
+    with pytest.raises(PreconditionFailure, match="energy"):
+        ConstitutiveModel(name="summed", energy=lambda s: 0.5 * np.sum(s.p * s.p),
+                          velocity=lambda s: s.p, stress=lambda s: stress(s.F))
+    with pytest.raises(PreconditionFailure, match="stress"):
+        ConstitutiveModel(name="refuses", energy=lambda s: 0.5 * (s.p * s.p).sum(-1),
+                          velocity=lambda s: s.p, stress=lambda s: float(s.p @ s.p) * s.F)
+    with pytest.raises(PreconditionFailure, match="analytic_S4"):
+        ConstitutiveModel(name="one_S4", energy=lambda s: 0.5 * (s.p * s.p).sum(-1),
+                          velocity=lambda s: s.p, stress=lambda s: stress(s.F),
+                          analytic_S4=lambda F: se.analytic_elasticity(np.eye(3)))
 
 
 def test_run_through_adapter_matches_batched_model():
     batched = classical_model(1.0, neo_hookean(LAM, MU))
     pointwise = _pointwise_only(batched)
-    assert not pointwise.batched and as_batched(pointwise).batched
-    assert as_batched(batched) is batched
 
     fld = gradient_field_3d(4)
     fld.p[...] = 0.01 * np.sin(2 * np.pi * fld.grid.positions())

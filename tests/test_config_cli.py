@@ -227,3 +227,41 @@ def test_cli_simulate_refuses_the_galilean_control(tmp_path, capsys):
     assert main(["--config", cfgp, "--mode", "simulate", "--out", out]) == 4
     assert "simulation: FAIL (velocity coefficient" in capsys.readouterr().out
     assert not os.path.exists(os.path.join(out, "monitors.csv"))
+
+
+TENSOR_ALL = MINIMAL.replace("mode = admissibility", "mode = all").replace(
+    "model = classical", "model = tensor\nv = 1, 2, 3") + "[probes]\ncount = 20\n"
+
+
+def test_cli_mode_override_is_validated_with_the_file(tmp_path, capsys):
+    # the file alone is invalid (a tensor model under mode = all); the
+    # command-line mode replaces it before validation
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, TENSOR_ALL)
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--mode", "admissibility", "--out", out, "--quiet"]) == 0
+    assert os.path.exists(os.path.join(out, "admissibility.csv"))
+    assert main(["--config", cfgp, "--mode", "hyperbolicity", "--out", out, "--quiet"]) == 64
+    assert "supports only model = classical" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_override_exit_64(tmp_path, capsys):
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, MINIMAL)
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--seed", "-1", "--out", out, "--quiet"]) == 64
+    assert "[run] seed = -1: must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_overrides_leave_the_config_digest_alone(tmp_path):
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, MINIMAL)
+    heads = []
+    for seed in ("1", "2"):
+        out = os.path.join(tmp, seed)
+        assert main(["--config", cfgp, "--seed", seed, "--out", out, "--quiet"]) == 0
+        with open(os.path.join(out, "admissibility.csv"), encoding="utf-8") as fh:
+            heads.append(fh.read().splitlines()[:3])
+    assert heads[0][1] == heads[1][1]  # config_sha256 of the file text
+    assert (heads[0][2], heads[1][2]) == ("# seed=1", "# seed=2")

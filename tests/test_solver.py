@@ -283,3 +283,22 @@ def test_run_refuses_a_state_dependent_velocity_coefficient():
     fld = sine_wave_field(m, Grid.line(32), "longitudinal", amplitude=0.01)
     with pytest.raises(PreconditionFailure, match="varies"):
         run(m, fld, t_end=0.01, cfl=0.5)
+
+
+def test_rusanov_first_order_l1_convergence():
+    # the longitudinal sine of the linear isotropic model (rho = 1, speed
+    # sqrt(lam + 2 mu) = 2) is an exact right-mover: compare with its translate
+    m = _iso_model()
+    amp, t_end, speed = 0.01, 0.1, 2.0
+    errors = []
+    for n in (100, 200, 400):
+        grid = Grid.line(n, 1.0)
+        out, _ = run(m, sine_wave_field(m, grid, "longitudinal", amp), t_end=t_end,
+                     cfl=0.5, monitor_every=1000)
+        x = grid.positions()[:, 0]
+        exact = amp * np.sin(2.0 * np.pi * (x - speed * t_end))
+        err = (np.abs(out.F[:, 0, 0] - 1.0 - exact).sum()
+               + np.abs(out.p[:, 0] + speed * exact).sum())
+        errors.append(grid.cell_volume * err)
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all((orders >= 0.9) & (orders <= 1.1)), orders
