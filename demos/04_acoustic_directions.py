@@ -17,7 +17,7 @@ from elastocons import (eigenstructure, elasticity_map,
 np.set_printoptions(precision=4, suppress=True)
 
 iso = linear_isotropic(lam=2.0, mu=1.0)
-report = scan_directions(elasticity_map(iso), np.eye(3), rho=1.0, n_dirs=128)
+report = scan_directions(elasticity_map(iso), np.eye(3), 1.0, n_dirs=128)
 print("isotropic model, 128 + 26 directions:")
 print("  strongly elliptic:", report.strongly_elliptic)
 print("  min acoustic eigenvalue:", report.min_eigenvalue)

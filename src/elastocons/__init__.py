@@ -18,7 +18,7 @@ package provides
 __version__ = "0.1.0"
 
 from .tensors import apply4, eig_general, eig_sym, outer
-from .constitutive import (ConstitutiveModel, MassDensityTensor, State,
+from .constitutive import (ConstitutiveModel, State,
                            StoredEnergy, classical_model,
                            corrupted_model, elasticity_map, fd_derivative,
                            fd_elasticity_tensor, fd_stress, fd_velocity_jacobian,

@@ -234,6 +234,7 @@ class AdmissibilityReport:
     probes: int = 0
     seed: int = 0
     notes: dict = field(default_factory=dict)
+    representation: RepresentationResult | None = None  # fitted when every check passes
 
     @property
     def passed(self) -> bool:
@@ -281,7 +282,9 @@ def full_report(model: ConstitutiveModel, n_probes: int = 100,
 
     A Newton divergence inside the ellipticity check (which needs the
     velocity map inverted at perturbed states) is recorded as a failure of
-    that check rather than raised, so a report is always produced.
+    that check rather than raised, so a report is always produced.  When
+    every check passes, the representation is fitted on the same probes; a
+    probe set too small to fit it is recorded as a note.
     """
     rng = np.random.default_rng(seed)
     probes = draw_states(n_probes, rng)
@@ -299,7 +302,7 @@ def full_report(model: ConstitutiveModel, n_probes: int = 100,
     g_ok, g_val = check_galilean(model, probes)
     p_ok, p_val = check_parity(model, probes)
 
-    return AdmissibilityReport(
+    report = AdmissibilityReport(
         model_name=model.name,
         normality_ok=n_ok, normality_min_det=n_val,
         ellipticity_ok=e_ok, ellipticity_min_det=e_val,
@@ -309,6 +312,12 @@ def full_report(model: ConstitutiveModel, n_probes: int = 100,
         parity_ok=p_ok, parity_asymmetry=p_val,
         probes=n_probes, seed=seed, notes=notes,
     )
+    if report.passed:
+        try:
+            report.representation = _fit_representation(model, _stack(probes))
+        except FitDegenerate as exc:
+            notes["representation"] = str(exc)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -341,23 +350,19 @@ def extract_representation(model: ConstitutiveModel,
     parity checks on the given probes; otherwise a linear representation is
     not guaranteed to exist and :class:`PreconditionFailure` is raised.
     """
-    failed = []
-    ok, _ = check_normality(model, probes)
-    if not ok:
-        failed.append("normality")
-    ok, _ = check_galilean(model, probes)
-    if not ok:
-        failed.append("galilean")
-    ok, _ = check_parity(model, probes)
-    if not ok:
-        failed.append("parity")
+    failed = [name for name, check in (("normality", check_normality),
+                                       ("galilean", check_galilean), ("parity", check_parity))
+              if not check(model, probes)[0]]
     if failed:
         raise PreconditionFailure(
             "representation preconditions violated: " + ", ".join(failed))
+    return _fit_representation(model, _stack(probes))
 
-    s = _stack(probes)
+
+def _fit_representation(model: ConstitutiveModel, s: State) -> RepresentationResult:
+    """Fit v = V p at the first probe's F and measure the energy split, unchecked."""
     fit = s.p[0::2]
-    held_out = State(s.F[1::2], s.p[1::2]) if len(probes) > 1 else s
+    held_out = State(s.F[1::2], s.p[1::2]) if len(s.p) > 1 else s
 
     if np.linalg.matrix_rank(fit, tol=1e-8 * max(1.0, float(np.abs(fit).max()))) < 3:
         raise FitDegenerate("momentum probes do not span three dimensions")

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .admissibility import draw_states, extract_representation, full_report
+from .admissibility import full_report
 from .config import MODES, RunConfig, load_config
 from .constitutive import (ConstitutiveModel, State, classical_model, corrupted_model,
                            elasticity_map, stored_energy_by_name, tensor_mass_model)
@@ -29,6 +29,7 @@ from .errors import (Blowup, ConfigError, ElastoconsError, NewtonDivergence,
 from .hyperbolicity import scan_directions
 from .solver import (Field, Grid, affine_initial_field, rest_field, run,
                      sine_wave_field)
+from .tensors import EYE3
 
 EXIT_OK = 0
 EXIT_ADMISSIBILITY = 2
@@ -39,6 +40,7 @@ EXIT_CONFIG = 64
 _FMT = "%.17g"
 SNAPSHOT_COLUMNS = ("index,x0,x1,x2," + ",".join(f"F{i}{j}" for i in range(3) for j in range(3))
                     + ",p0,p1,p2,v0,v1,v2,energy\n")
+SNAPSHOT_ROW = "%d," + ",".join([_FMT] * SNAPSHOT_COLUMNS.count(",")) + "\n"
 
 
 def _fmt(x) -> str:
@@ -57,12 +59,20 @@ def _say(cfg: RunConfig, msg: str):
         print(msg)
 
 
+def velocity_coefficient(cfg: RunConfig) -> np.ndarray:
+    """V = dv/dp of build_model(cfg), from the config: differencing the model
+    would give V = 0 for the normality control at p = 0."""
+    if cfg.model == "tensor" and cfg.corruption == "none":
+        return cfg.v_tensor
+    return EYE3 / cfg.rho
+
+
 def build_model(cfg: RunConfig) -> ConstitutiveModel:
     if cfg.corruption != "none":
         return corrupted_model(cfg.corruption, lam=cfg.lam, mu=cfg.mu, rho=cfg.rho)
     se = stored_energy_by_name(cfg.sigma, lam=cfg.lam, mu=cfg.mu)
     if cfg.model == "tensor":
-        return tensor_mass_model(cfg.v_tensor, se)
+        return tensor_mass_model(velocity_coefficient(cfg), se)
     return classical_model(cfg.rho, se)
 
 
@@ -81,21 +91,13 @@ def mode_admissibility(cfg: RunConfig, out_dir: str) -> int:
             fh.write(f"{name},{_fmt(value)},{_fmt(tol)},{str(ok).lower()}\n")
 
     text = report.as_text()
-    if report.passed:
-        try:
-            probes = draw_states(cfg.probe_count, np.random.default_rng(cfg.seed))
-            rep = extract_representation(model, probes)
-            lines = []
-            for i in range(3):
-                for j in range(3):
-                    lines.append(f"representation_V_{i}{j}={_fmt(rep.V_fit[i, j])}")
-            lines.append(f"representation_symmetry_residual={_fmt(rep.symmetry_residual)}")
-            lines.append(f"representation_linearity_residual={_fmt(rep.linearity_residual)}")
-            lines.append(f"representation_split_residual={_fmt(rep.split_residual)}")
-            lines.append(f"representation_split_pass={str(rep.split_pass).lower()}")
-            text += "\n".join(lines) + "\n"
-        except (PreconditionFailure, NewtonDivergence) as exc:
-            text += f"representation_error={exc}\n"
+    rep = report.representation
+    if rep is not None:
+        text += "".join(f"representation_V_{i}{j}={_fmt(rep.V_fit[i, j])}\n"
+                        for i in range(3) for j in range(3))
+        text += "".join(f"representation_{key}={_fmt(getattr(rep, key))}\n" for key in
+                        ("symmetry_residual", "linearity_residual", "split_residual"))
+        text += f"representation_split_pass={str(rep.split_pass).lower()}\n"
     with open(os.path.join(out_dir, "admissibility.txt"), "w", encoding="utf-8") as fh:
         fh.write(_header(cfg))
         fh.write(text)
@@ -110,8 +112,12 @@ def mode_admissibility(cfg: RunConfig, out_dir: str) -> int:
 
 
 def mode_hyperbolicity(cfg: RunConfig, out_dir: str) -> int:
-    report = scan_directions(elasticity_map(build_model(cfg)), cfg.hyp_F, cfg.rho,
-                             n_dirs=cfg.n_dirs)
+    S4_at, V = elasticity_map(build_model(cfg)), velocity_coefficient(cfg)
+    try:
+        report = scan_directions(S4_at, cfg.hyp_F, V, n_dirs=cfg.n_dirs)
+    except NonHyperbolicState as exc:
+        _say(cfg, f"hyperbolicity: FAIL ({exc})")
+        return EXIT_HYPERBOLICITY
 
     with open(os.path.join(out_dir, "hyperbolicity.csv"), "w", encoding="utf-8") as fh:
         fh.write(_header(cfg))
@@ -152,8 +158,8 @@ def _write_snapshot(path: str, cfg: RunConfig, model: ConstitutiveModel, fld: Fi
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_header(cfg))
         fh.write(SNAPSHOT_COLUMNS)
-        for flat, vals in enumerate(table):
-            fh.write(f"{flat}," + ",".join(map(_FMT.__mod__, vals)) + "\n")
+        # row by row: one list of the whole table would raise the peak memory
+        fh.writelines(SNAPSHOT_ROW % (flat, *row.tolist()) for flat, row in enumerate(table))
 
 
 def mode_simulate(cfg: RunConfig, out_dir: str) -> int:

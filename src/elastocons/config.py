@@ -209,10 +209,6 @@ def parse_config(text: str, run_overrides: dict | None = None) -> RunConfig:
     hyp_F = col.vector("hyperbolicity", "f", None, sizes=(9,))
     if hyp_F is not None:
         cfg.hyp_F = hyp_F.reshape(3, 3)
-    if cfg.model == "tensor" and cfg.mode in ("hyperbolicity", "all"):
-        col.problems.append(
-            "[run] mode: hyperbolicity analysis supports only model = classical "
-            "(scalar mass density)")
 
     cfg.dims = col.integer("grid", "dims", cfg.dims)
     if cfg.dims not in (1, 3):

@@ -103,35 +103,6 @@ class ConstitutiveModel:
                     f"states, expected {(2,) + shape}; wrap pointwise maps in pointwise_model")
 
 
-@dataclass(frozen=True)
-class MassDensityTensor:
-    """Symmetric mass-density tensor M and its inverse V (p = M v)."""
-
-    M: np.ndarray
-    V: np.ndarray
-
-    @classmethod
-    def from_V(cls, V) -> "MassDensityTensor":
-        V = check_finite(V, "V").reshape(3, 3)
-        if asymmetry(V) > DEFAULT.sym_tol:
-            raise NotSymmetric("velocity coefficient tensor V is not symmetric")
-        if abs(float(np.linalg.det(V))) <= 1e-12:
-            raise Singular("velocity coefficient tensor V is singular")
-        M = np.linalg.inv(V)
-        return cls(M=sym_part(M), V=V.copy())
-
-    @classmethod
-    def from_rho(cls, rho: float) -> "MassDensityTensor":
-        if not rho > 0:
-            raise ValueError("rho must be positive")
-        return cls(M=rho * np.eye(3), V=np.eye(3) / rho)
-
-    def classical(self, tol: float = 1e-10) -> bool:
-        """True when M = rho * identity with rho > 0."""
-        rho = self.M[0, 0]
-        return rho > 0 and float(np.abs(self.M - rho * np.eye(3)).max()) <= tol * max(1.0, rho)
-
-
 # ---------------------------------------------------------------------------
 # Stored-energy registry
 # ---------------------------------------------------------------------------
@@ -381,8 +352,12 @@ def tensor_mass_model(V, se: StoredEnergy) -> ConstitutiveModel:
 
     V must be symmetric (to the central symmetry tolerance) and invertible.
     """
-    mdt = MassDensityTensor.from_V(V)  # raises NotSymmetric / Singular
-    VmT = mdt.V.T.copy()  # p @ VmT is V p for a single p or a stack
+    V = check_finite(V, "V").reshape(3, 3)
+    if asymmetry(V) > DEFAULT.sym_tol:
+        raise NotSymmetric("velocity coefficient tensor V is not symmetric")
+    if abs(float(np.linalg.det(V))) <= 1e-12:
+        raise Singular("velocity coefficient tensor V is singular")
+    VmT = V.T.copy()  # p @ VmT is V p for a single p or a stack
     stress = _stress_from(se)
     return ConstitutiveModel(
         name=f"tensor_mass({se.name})",

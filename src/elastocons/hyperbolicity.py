@@ -6,12 +6,13 @@ For a direction w and the elasticity tensor S4 = dS/dF, the acoustic tensor
 
 governs plane-wave propagation: positive definiteness of E(w) for every unit
 w is strong ellipticity of the stress map, equivalently strict rank-one
-convexity of the stored energy.  With scalar mass density rho, the 12x12
-directional flux Jacobian of the system in (F, p) acts on pairs (Z, z) as
+convexity of the stored energy.  With the velocity coefficient V = dv/dp
+(symmetric positive definite; identity / rho for a scalar density rho), the
+12x12 directional flux Jacobian of the system in (F, p) acts on pairs (Z, z) as
 
-    (Z, z)  ->  (-(1/rho) z (x) w,  -(S4[Z]) w)
+    (Z, z)  ->  (-(V z) (x) w,  -(S4[Z]) w)
 
-so its nonzero eigenvalues lam satisfy E(w) z = mu z with mu = rho lam^2,
+so its nonzero eigenvalues lam satisfy lam^2 = eig(V^(1/2) E(w) V^(1/2)),
 zero is an eigenvalue of geometric multiplicity six whenever E(w) is
 positive definite, and the zero-eigenvectors all have vanishing z-block.
 """
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnit
-from .tensors import EYE3, eig_general, eig_sym
+from .errors import NonHyperbolicState, NotUnit
+from .tensors import EYE3, eig_general, eig_sym, sym_part
 from .tolerances import DEFAULT
 
 DIRECTION_BLOCK = 16  # directions per stacked solve: keeps the scan's working set near 0.2 MB
@@ -35,6 +36,23 @@ def _require_unit(w) -> np.ndarray:
     if np.any(err > 1e-12):
         raise NotUnit(f"|w| deviates from 1 by {err.max():.3e}")
     return w
+
+
+def _velocity_tensor(V) -> np.ndarray:
+    """V as a 3x3 tensor; a scalar rho > 0 stands for V = identity / rho."""
+    V = np.asarray(V, dtype=float)
+    if V.ndim == 0 and not V > 0:
+        raise ValueError("rho must be positive")
+    return EYE3 / V if V.ndim == 0 else V.reshape(3, 3)
+
+
+def velocity_coefficient_root(V) -> np.ndarray:
+    """Symmetric root V^(1/2) of V's symmetric part; NonHyperbolicState unless positive definite."""
+    evals, evecs = np.linalg.eigh(sym_part(_velocity_tensor(V)))
+    if float(evals.min()) <= 0.0:
+        raise NonHyperbolicState(
+            f"velocity coefficient not positive definite (eigenvalues {evals})")
+    return (evecs * np.sqrt(evals)) @ evecs.T
 
 
 def acoustic_spectrum(S4, w, vroot=None, vectors: bool = False):
@@ -74,19 +92,18 @@ def acoustic_tensor(S4, w) -> AcousticTensor:
     return AcousticTensor(w=w, E=E, eigenvalues=evals, eigenvectors=evecs)
 
 
-def flux_jacobian(S4, rho: float, w) -> np.ndarray:
-    """Dense 12x12 directional Jacobian of the fluxes, scalar mass density.
+def flux_jacobian(S4, V, w) -> np.ndarray:
+    """Dense 12x12 directional Jacobian of the fluxes for velocity coefficient V (or rho).
 
     Row/column layout: entries 3a..3a+2 hold the a-th column of the tensor
     block Z (a = 0, 1, 2) and entries 9..11 hold the vector block z.  A stack
     of directions w[..., 3] gives a stack of Jacobians M[..., 12, 12].
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    V = _velocity_tensor(V)
     w = _require_unit(w)
     M = np.zeros(w.shape[:-1] + (12, 12))
-    # M[3a + i, 9 + h] = -(w_a / rho) delta_ih
-    M[..., 0:9, 9:12] = np.reshape(-(w[..., :, None, None] / rho) * EYE3, M.shape[:-2] + (9, 3))
+    # M[3a + i, 9 + h] = -w_a V_ih
+    M[..., 0:9, 9:12] = np.reshape(-w[..., :, None, None] * V, M.shape[:-2] + (9, 3))
     # K[..., i, h, a] = -sum_j S4[i, j, h, a] w_j, mapping Z[h, a] to the z-rate
     K = -np.einsum("ijha,...j->...iha", np.asarray(S4, dtype=float), w)
     M[..., 9:12, 0:9] = K.swapaxes(-1, -2).reshape(M.shape[:-2] + (3, 9))
@@ -171,7 +188,7 @@ class DirectionRecord:
     w: np.ndarray
     acoustic_eigenvalues: np.ndarray  # descending
     min_eigenvalue: float
-    wave_speeds: np.ndarray           # sqrt(mu / rho), NaN where mu < 0
+    wave_speeds: np.ndarray           # sqrt(eig V^(1/2) E V^(1/2)), NaN where negative
     zero_multiplicity: int
     independent_count: int
 
@@ -179,7 +196,7 @@ class DirectionRecord:
 @dataclass
 class HyperbolicityReport:
     records: list
-    rho: float
+    V: np.ndarray                     # velocity coefficient dv/dp
     strongly_elliptic: bool
     min_eigenvalue: float
     worst_direction: np.ndarray
@@ -191,26 +208,30 @@ class HyperbolicityReport:
                    r.zero_multiplicity, r.independent_count)
 
 
-def scan_directions(S4_at, F, rho: float, n_dirs: int = 256) -> HyperbolicityReport:
+def scan_directions(S4_at, F, V, n_dirs: int = 256) -> HyperbolicityReport:
     """Scan acoustic eigenvalues and Jacobian eigenstructure over directions.
 
     ``S4_at`` maps a deformation gradient to the elasticity tensor; the scan
     evaluates it once at F, along ``n_dirs`` Fibonacci directions and the 26
-    cube directions.  The verdict ``strongly_elliptic`` certifies
-    positivity of every sampled acoustic tensor, i.e. strict rank-one
-    convexity of the stored energy at F, at scan resolution.
+    cube directions, with the velocity coefficient V (or a scalar rho).  The
+    verdict ``strongly_elliptic`` certifies positivity of every sampled
+    acoustic tensor, i.e. strict rank-one convexity of the stored energy at
+    F, at scan resolution.
     """
+    V = _velocity_tensor(V)
+    vroot = velocity_coefficient_root(V)
     S4 = np.asarray(S4_at(np.asarray(F, dtype=float)), dtype=float)
     dirs = np.vstack([fibonacci_sphere(n_dirs), baseline_directions()])
 
-    evals = np.empty((len(dirs), 3))
+    evals, mu = np.empty((2, len(dirs), 3))
     zero_mult, indep = np.empty((2, len(dirs)), dtype=int)
     for start in range(0, len(dirs), DIRECTION_BLOCK):
         block = slice(start, start + DIRECTION_BLOCK)
-        evals[block] = acoustic_spectrum(S4, dirs[block])[1]
-        es = eigenstructure(flux_jacobian(S4, rho, dirs[block]))
+        E, evals[block] = acoustic_spectrum(S4, dirs[block])
+        mu[block] = eig_sym(vroot @ E @ vroot, vectors=False)
+        es = eigenstructure(flux_jacobian(S4, V, dirs[block]))
         zero_mult[block], indep[block] = es.zero_multiplicity, es.independent_count
-    speeds = np.where(evals >= 0.0, np.sqrt(np.clip(evals, 0.0, None) / rho), np.nan)
+    speeds = np.where(mu >= 0.0, np.sqrt(np.clip(mu, 0.0, None)), np.nan)
     worst = int(np.argmin(evals[:, -1]))
     records = [DirectionRecord(w=w, acoustic_eigenvalues=e, min_eigenvalue=float(e[-1]),
                                wave_speeds=c, zero_multiplicity=int(z),
@@ -218,7 +239,7 @@ def scan_directions(S4_at, F, rho: float, n_dirs: int = 256) -> HyperbolicityRep
                for w, e, c, z, k in zip(dirs, evals, speeds, zero_mult, indep)]
     return HyperbolicityReport(
         records=records,
-        rho=rho,
+        V=V,
         strongly_elliptic=bool(evals[worst, -1] > DEFAULT.se_tol),
         min_eigenvalue=float(evals[worst, -1]),
         worst_direction=dirs[worst],

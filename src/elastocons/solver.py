@@ -22,7 +22,7 @@ import numpy as np
 from .constitutive import (ConstitutiveModel, State, elasticity_map, fd_velocity_jacobian,
                            momentum_from_velocity)
 from .errors import Blowup, NonHyperbolicState, PreconditionFailure
-from .hyperbolicity import acoustic_spectrum
+from .hyperbolicity import acoustic_spectrum, velocity_coefficient_root
 from .tensors import EYE3, outer
 from .tolerances import DEFAULT
 
@@ -133,12 +133,7 @@ def _velocity_coefficient_root(model: ConstitutiveModel, F, p) -> np.ndarray:
         raise PreconditionFailure(
             f"velocity coefficient d(velocity)/dp varies by {spread:.3e} across the field; "
             "the solver needs a state-independent one")
-    N = N[0]
-    evals, evecs = np.linalg.eigh(0.5 * (N + N.T))
-    if float(evals.min()) <= 0.0:
-        raise NonHyperbolicState(
-            f"velocity coefficient not positive definite (eigenvalues {evals})")
-    return (evecs * np.sqrt(evals)) @ evecs.T
+    return velocity_coefficient_root(N[0])
 
 
 def _cell_speeds(model: ConstitutiveModel, fld: Field, vroot: np.ndarray) -> np.ndarray:

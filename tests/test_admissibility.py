@@ -175,6 +175,20 @@ def test_full_report_builders_pass():
         assert report.parity_asymmetry <= 1e-9
 
 
+def test_full_report_keeps_the_fit_of_a_passing_model():
+    m = tensor_mass_model(np.diag([0.5, 1.25, 2.0]), neo_hookean(LAM, MU))
+    rep = full_report(m, n_probes=30, seed=SEED).representation
+    direct = extract_representation(m, _probes(30))  # the same probes
+    np.testing.assert_array_equal(rep.V_fit, direct.V_fit)
+    assert (rep.linearity_residual, rep.split_residual) == (direct.linearity_residual,
+                                                            direct.split_residual)
+    assert full_report(corrupted_model("parity"), n_probes=30, seed=SEED).representation is None
+    # four probes leave two fit rows, one of them p = 0: too few for V, not an error
+    small = full_report(m, n_probes=4, seed=SEED)
+    assert small.passed and small.representation is None
+    assert small.notes["representation"] == "momentum probes do not span three dimensions"
+
+
 def test_negative_controls_fail_exactly_their_target():
     for kind, expected in NEGATIVE_CONTROL_EXPECTATIONS.items():
         report = full_report(corrupted_model(kind), n_probes=30, seed=SEED)

@@ -90,11 +90,6 @@ def test_tensor_model_requires_v():
     assert np.allclose(cfg.v_tensor, np.diag([1.0, 2.0, 3.0]))
 
 
-def test_tensor_model_blocked_from_hyperbolicity_mode():
-    with pytest.raises(ValidationError):
-        parse_config("[model]\nmodel = tensor\nv = 1,2,3\n[run]\nmode = all\n")
-
-
 def _write(tmp_path, text):
     path = os.path.join(tmp_path, "cfg.ini")
     with open(path, "w", encoding="utf-8") as fh:
@@ -229,20 +224,50 @@ def test_cli_simulate_refuses_the_galilean_control(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "monitors.csv"))
 
 
-TENSOR_ALL = MINIMAL.replace("mode = admissibility", "mode = all").replace(
-    "model = classical", "model = tensor\nv = 1, 2, 3") + "[probes]\ncount = 20\n"
-
-
 def test_cli_mode_override_is_validated_with_the_file(tmp_path, capsys):
-    # the file alone is invalid (a tensor model under mode = all); the
-    # command-line mode replaces it before validation
+    # the file alone is invalid (an unknown mode); the command-line mode
+    # replaces it before validation
     tmp = str(tmp_path)
-    cfgp = _write(tmp, TENSOR_ALL)
+    cfgp = _write(tmp, MINIMAL.replace("mode = admissibility", "mode = bogus"))
     out = os.path.join(tmp, "out")
     assert main(["--config", cfgp, "--mode", "admissibility", "--out", out, "--quiet"]) == 0
     assert os.path.exists(os.path.join(out, "admissibility.csv"))
-    assert main(["--config", cfgp, "--mode", "hyperbolicity", "--out", out, "--quiet"]) == 64
-    assert "supports only model = classical" in capsys.readouterr().err
+    assert main(["--config", cfgp, "--out", out, "--quiet"]) == 64
+    assert "[run] mode = 'bogus'" in capsys.readouterr().err
+
+
+V_TENSOR = np.array([[0.8, 0.1, 0.0], [0.1, 0.6, 0.05], [0.0, 0.05, 0.7]])
+TENSOR_ALL = FAST_ALL.replace("n_dirs = 16", "n_dirs = 256").replace(
+    "model = classical", "model = tensor\nv = " + " ".join(map(str, V_TENSOR.ravel())))
+
+
+def test_cli_tensor_model_runs_every_mode(tmp_path):
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, TENSOR_ALL)
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--out", out, "--quiet"]) == 0
+    for name in ("admissibility.csv", "admissibility.txt", "hyperbolicity.csv",
+                 "monitors.csv", "snapshot_initial.csv", "snapshot_final.csv"):
+        assert os.path.exists(os.path.join(out, name)), name
+    with open(os.path.join(out, "hyperbolicity.csv"), encoding="utf-8") as fh:
+        rows = [[float(x) for x in line.split(",")] for line in fh.read().splitlines()
+                if not line.startswith("#") and not line.startswith("w0")]
+    assert len(rows) == 282
+    for row in rows:
+        # linear isotropic at F = I: E(w) = (lambda + mu) w (x) w + mu 1
+        w = np.array(row[:3])
+        E = 3.0 * np.outer(w, w) + np.eye(3)
+        mu = np.sort(np.linalg.eigvals(V_TENSOR @ E).real)[::-1]
+        assert np.abs(np.array(row[6:9]) ** 2 - mu).max() <= 1e-12
+        assert row[9:] == [6, 6]
+
+
+def test_cli_indefinite_velocity_coefficient_fails_hyperbolicity(tmp_path, capsys):
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, FAST_ALL.replace("model = classical", "model = tensor\nv = 1, -1, 1"))
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--mode", "hyperbolicity", "--out", out]) == 3
+    assert "not positive definite" in capsys.readouterr().out
 
 
 def test_cli_negative_seed_override_exit_64(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastocons import (MassDensityTensor, State, apply4, classical_model,
+from elastocons import (State, apply4, classical_model,
                         fd_elasticity_tensor, fd_stress, linear_isotropic,
                         momentum_from_velocity, neo_hookean,
                         st_venant_kirchhoff, stored_energy_registry,
@@ -79,14 +79,6 @@ def test_tensor_model_input_validation():
         tensor_mass_model(np.diag([1.0, 1.0, 0.0]), se)
     with pytest.raises(ValueError):
         classical_model(-1.0, se)
-
-
-def test_mass_density_tensor_inverse_pair():
-    V = np.diag([0.25, 0.5, 2.0])
-    mdt = MassDensityTensor.from_V(V)
-    assert np.abs(mdt.M @ mdt.V - np.eye(3)).max() <= 1e-10
-    assert not mdt.classical()
-    assert MassDensityTensor.from_rho(2.0).classical()
 
 
 def test_momentum_from_velocity_classical():

@@ -6,7 +6,7 @@ from elastocons import (acoustic_tensor, baseline_directions, corrupted_model,
                         fibonacci_sphere, flux_jacobian, linear_isotropic,
                         neo_hookean, outer, scan_directions,
                         st_venant_kirchhoff)
-from elastocons.errors import NotUnit
+from elastocons.errors import NonHyperbolicState, NotUnit
 from elastocons.tolerances import DEFAULT
 
 LAM, MU = 2.0, 1.0
@@ -231,3 +231,58 @@ def test_scan_matches_per_direction_oracle(case):
     assert report.min_eigenvalue == min(mins)
     assert np.array_equal(report.worst_direction, dirs[int(np.argmin(mins))])
     assert report.strongly_elliptic == (case not in ("stvk_compressed", "zero"))
+
+
+V_TENSOR = np.array([[0.8, 0.1, 0.0], [0.1, 0.6, 0.05], [0.0, 0.05, 0.7]])
+
+
+@pytest.mark.parametrize("case", ["linear", "stvk", "neo_hookean", "linear_F", "stvk_F",
+                                  "neo_hookean_F", "stvk_compressed", "zero"])
+def test_scan_with_a_tensor_velocity_coefficient(case):
+    # squared speeds are eig(V E(w)); eig1..3 stay eig E(w)
+    name = case.removesuffix("_F")
+    F = np.eye(3)
+    if case.endswith("_F"):
+        F = F + 0.15 * np.random.default_rng(9).uniform(-1.0, 1.0, size=(3, 3))
+    if case == "stvk_compressed":
+        name, F = "stvk", 0.5 * np.eye(3)
+    S4_at = elasticity_map(corrupted_model("ellipticity") if case == "zero" else
+                           {"linear": linear_isotropic, "stvk": st_venant_kirchhoff,
+                            "neo_hookean": neo_hookean}[name](LAM, MU))
+    S4 = S4_at(F)
+    report = scan_directions(S4_at, F, V_TENSOR)
+    assert np.array_equal(report.V, V_TENSOR)
+    dirs = np.vstack([fibonacci_sphere(256), baseline_directions()])
+    es = eigenstructure(flux_jacobian(S4, V_TENSOR, dirs))
+    for r, w, zm, ic in zip(report.records, dirs, es.zero_multiplicity, es.independent_count):
+        E = np.einsum("ijhk,j,k->ih", S4, w, w)
+        eig_E = np.linalg.eigvalsh(E)[::-1]
+        assert np.abs(r.acoustic_eigenvalues - eig_E).max() <= 1e-13 * max(1.0, np.abs(eig_E).max())
+        mu = np.sort(np.linalg.eig(V_TENSOR @ E)[0].real)[::-1]
+        tol = 1e-12 * np.maximum(1.0, np.abs(mu))
+        real = ~np.isnan(r.wave_speeds)
+        assert np.all(np.abs(r.wave_speeds[real] ** 2 - mu[real]) <= tol[real])
+        assert np.all(mu[~real] < 0.0)
+        assert (r.zero_multiplicity, r.independent_count) == (zm, ic)
+    assert report.strongly_elliptic == (case not in ("stvk_compressed", "zero"))
+
+
+def test_jacobian_speeds_with_a_tensor_velocity_coefficient():
+    # the nonzero Jacobian eigenvalues come in +- pairs with lam^2 = eig(V E)
+    rng = np.random.default_rng(10)
+    S4 = neo_hookean(LAM, MU).analytic_elasticity(np.eye(3) + 0.1 * rng.uniform(-1, 1, (3, 3)))
+    for _ in range(5):
+        w = _unit(rng)
+        es = eigenstructure(flux_jacobian(S4, V_TENSOR, w))
+        lam2 = np.sort(np.array([l.real ** 2 for l, _ in es.nonzero_pairs]))
+        mu = np.linalg.eig(V_TENSOR @ acoustic_tensor(S4, w).E)[0].real
+        assert es.zero_multiplicity == 6
+        assert np.abs(lam2 - np.sort(np.repeat(mu, 2))).max() <= 1e-8 * max(1.0, mu.max())
+
+
+def test_scan_refuses_a_velocity_coefficient_without_real_speeds():
+    S4_at = elasticity_map(linear_isotropic(LAM, MU))
+    with pytest.raises(NonHyperbolicState):
+        scan_directions(S4_at, np.eye(3), np.diag([1.0, -1.0, 1.0]), n_dirs=4)
+    with pytest.raises(ValueError):
+        scan_directions(S4_at, np.eye(3), 0.0, n_dirs=4)
