@@ -24,7 +24,7 @@ from .admissibility import full_report
 from .config import MODES, RunConfig, load_config
 from .constitutive import (ConstitutiveModel, State, classical_model, corrupted_model,
                            elasticity_map, stored_energy_by_name, tensor_mass_model)
-from .errors import (Blowup, ConfigError, ElastoconsError, NewtonDivergence,
+from .errors import (Blowup, ConfigError, DomainError, ElastoconsError, NewtonDivergence,
                      NonHyperbolicState, PreconditionFailure)
 from .hyperbolicity import scan_directions
 from .solver import (Field, Grid, affine_initial_field, rest_field, run,
@@ -115,7 +115,7 @@ def mode_hyperbolicity(cfg: RunConfig, out_dir: str) -> int:
     S4_at, V = elasticity_map(build_model(cfg)), velocity_coefficient(cfg)
     try:
         report = scan_directions(S4_at, cfg.hyp_F, V, n_dirs=cfg.n_dirs)
-    except NonHyperbolicState as exc:
+    except (NonHyperbolicState, DomainError) as exc:
         _say(cfg, f"hyperbolicity: FAIL ({exc})")
         return EXIT_HYPERBOLICITY
 

@@ -8,13 +8,16 @@ governs plane-wave propagation: positive definiteness of E(w) for every unit
 w is strong ellipticity of the stress map, equivalently strict rank-one
 convexity of the stored energy.  With the velocity coefficient V = dv/dp
 (symmetric positive definite; identity / rho for a scalar density rho), the
-12x12 directional flux Jacobian of the system in (F, p) acts on pairs (Z, z) as
+12x12 directional flux Jacobian of the system in (F, p) has the block form
 
-    (Z, z)  ->  (-(V z) (x) w,  -(S4[Z]) w)
+    M = [[0, B], [C, 0]],   B z = -(V z) (x) w,   C Z = -(S4[Z]) w,   CB = E(w) V.
 
-so its nonzero eigenvalues lam satisfy lam^2 = eig(V^(1/2) E(w) V^(1/2)),
-zero is an eigenvalue of geometric multiplicity six whenever E(w) is
-positive definite, and the zero-eigenvectors all have vanishing z-block.
+The singular values of B are those of V, so rank B = 3 and the zero
+multiplicity is 12 - rank M = 9 - rank C: six, with vanishing z-block, when
+E(w) is positive definite.  Each nonzero eigenvalue mu of V^(1/2) E(w) V^(1/2)
+gives the pair lam = +-sqrt(mu) with two independent eigenvectors, CB being
+similar to a symmetric matrix.  The direction scan classifies from these facts;
+the dense 12x12 path is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import numpy as np
 from .errors import NonHyperbolicState, NotUnit
 from .tensors import EYE3, eig_general, eig_sym, sym_part
 from .tolerances import DEFAULT
-
-DIRECTION_BLOCK = 16  # directions per stacked solve: keeps the scan's working set near 0.2 MB
 
 
 def _require_unit(w) -> np.ndarray:
@@ -92,6 +93,12 @@ def acoustic_tensor(S4, w) -> AcousticTensor:
     return AcousticTensor(w=w, E=E, eigenvalues=evals, eigenvectors=evecs)
 
 
+def _c_block(S4, w) -> np.ndarray:
+    """Flux Jacobian block C[..., i, 3a + h] = -sum_j S4[i, j, h, a] w_j, for w[..., 3]."""
+    C = -np.einsum("ijha,...j->...iah", np.asarray(S4, dtype=float), w)
+    return C.reshape(w.shape[:-1] + (3, 9))
+
+
 def flux_jacobian(S4, V, w) -> np.ndarray:
     """Dense 12x12 directional Jacobian of the fluxes for velocity coefficient V (or rho).
 
@@ -104,9 +111,7 @@ def flux_jacobian(S4, V, w) -> np.ndarray:
     M = np.zeros(w.shape[:-1] + (12, 12))
     # M[3a + i, 9 + h] = -w_a V_ih
     M[..., 0:9, 9:12] = np.reshape(-w[..., :, None, None] * V, M.shape[:-2] + (9, 3))
-    # K[..., i, h, a] = -sum_j S4[i, j, h, a] w_j, mapping Z[h, a] to the z-rate
-    K = -np.einsum("ijha,...j->...iha", np.asarray(S4, dtype=float), w)
-    M[..., 9:12, 0:9] = K.swapaxes(-1, -2).reshape(M.shape[:-2] + (3, 9))
+    M[..., 9:12, 0:9] = _c_block(S4, w)
     return M
 
 
@@ -125,6 +130,7 @@ class EigenStructure:
 def eigenstructure(M) -> EigenStructure:
     """Zero multiplicity (geometric, via rank) and nonzero eigenpairs of M[..., n, n].
 
+    The dense reference for the block classification of :func:`scan_directions`.
     The eigenvectors of zero-band eigenvalues are masked to zero columns, so
     one SVD of the unit eigenvector matrix counts the independent nonzero
     modes; with k of them its k-th singular value is ``independence_sv``.
@@ -168,15 +174,9 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 def baseline_directions() -> np.ndarray:
     """The 26 axis, face-diagonal and corner directions of the unit cube."""
-    out = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if dx == dy == dz == 0:
-                    continue
-                v = np.array([dx, dy, dz], dtype=float)
-                out.append(v / np.linalg.norm(v))
-    return np.array(out)
+    v = np.indices((3, 3, 3)).reshape(3, -1).T - 1.0
+    v = v[np.any(v != 0.0, axis=1)]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +216,21 @@ def scan_directions(S4_at, F, V, n_dirs: int = 256) -> HyperbolicityReport:
     cube directions, with the velocity coefficient V (or a scalar rho).  The
     verdict ``strongly_elliptic`` certifies positivity of every sampled
     acoustic tensor, i.e. strict rank-one convexity of the stored energy at
-    F, at scan resolution.
+    F, at scan resolution.  The mode counts come from the block form of M.
     """
     V = _velocity_tensor(V)
     vroot = velocity_coefficient_root(V)
     S4 = np.asarray(S4_at(np.asarray(F, dtype=float)), dtype=float)
     dirs = np.vstack([fibonacci_sphere(n_dirs), baseline_directions()])
 
-    evals, mu = np.empty((2, len(dirs), 3))
-    zero_mult, indep = np.empty((2, len(dirs)), dtype=int)
-    for start in range(0, len(dirs), DIRECTION_BLOCK):
-        block = slice(start, start + DIRECTION_BLOCK)
-        E, evals[block] = acoustic_spectrum(S4, dirs[block])
-        mu[block] = eig_sym(vroot @ E @ vroot, vectors=False)
-        es = eigenstructure(flux_jacobian(S4, V, dirs[block]))
-        zero_mult[block], indep[block] = es.zero_multiplicity, es.independent_count
+    E, evals = acoustic_spectrum(S4, dirs)
+    mu = eig_sym(vroot @ E @ vroot, vectors=False)
+    sv_V = np.linalg.svd(V, compute_uv=False)
+    sv_C = np.linalg.svd(_c_block(S4, dirs), compute_uv=False)
+    # the singular values of M are those of V and of C; the largest sets the zero band
+    band = DEFAULT.zero_band * np.maximum(sv_V[0], sv_C[:, 0])[:, None]
+    zero_mult = 12 - np.sum(sv_V > band, axis=-1) - np.sum(sv_C > band, axis=-1)
+    indep = 2 * np.sum(np.sqrt(np.abs(mu)) > band, axis=-1)
     speeds = np.where(mu >= 0.0, np.sqrt(np.clip(mu, 0.0, None)), np.nan)
     worst = int(np.argmin(evals[:, -1]))
     records = [DirectionRecord(w=w, acoustic_eigenvalues=e, min_eigenvalue=float(e[-1]),
@@ -268,9 +268,9 @@ def ellipticity_loss_bisection(S4_at, s_lo: float, s_hi: float, n_dirs: int = 64
             f"no sign change on [{s_lo}, {s_hi}]: g = ({g_lo:.3e}, {g_hi:.3e})")
     for _ in range(50):
         mid = 0.5 * (s_lo + s_hi)
-        if g_lo * g(mid) <= 0:
+        g_mid = g(mid)
+        if g_lo * g_mid <= 0:
             s_hi = mid
         else:
-            s_lo = mid
-            g_lo = g(s_lo)
+            s_lo, g_lo = mid, g_mid
     return 0.5 * (s_lo + s_hi)

@@ -290,3 +290,19 @@ def test_cli_overrides_leave_the_config_digest_alone(tmp_path):
             heads.append(fh.read().splitlines()[:3])
     assert heads[0][1] == heads[1][1]  # config_sha256 of the file text
     assert (heads[0][2], heads[1][2]) == ("# seed=1", "# seed=2")
+
+
+@pytest.mark.parametrize("mode", ["hyperbolicity", "all"])
+def test_cli_scan_point_outside_the_energy_domain_fails_hyperbolicity(tmp_path, capsys, mode):
+    # det F = -1 is outside the neo-Hookean domain: a hyperbolicity failure (exit 3),
+    # and under mode = all the simulation still runs
+    tmp = str(tmp_path)
+    text = FAST_ALL.replace("sigma = linear_isotropic", "sigma = neo_hookean").replace(
+        "n_dirs = 16", "n_dirs = 16\nf = -1 0 0 0 1 0 0 0 1")
+    cfgp = _write(tmp, text)
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--mode", mode, "--out", out]) == 3
+    stdout = capsys.readouterr().out
+    assert "hyperbolicity: FAIL (neo-Hookean energy requires det F > 0" in stdout
+    assert not os.path.exists(os.path.join(out, "hyperbolicity.csv"))
+    assert ("simulation: OK" in stdout) == (mode == "all")

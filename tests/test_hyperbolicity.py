@@ -286,3 +286,23 @@ def test_scan_refuses_a_velocity_coefficient_without_real_speeds():
         scan_directions(S4_at, np.eye(3), np.diag([1.0, -1.0, 1.0]), n_dirs=4)
     with pytest.raises(ValueError):
         scan_directions(S4_at, np.eye(3), 0.0, n_dirs=4)
+
+
+def test_scan_pairs_the_modes_at_a_singular_acoustic_tensor():
+    # lambda + 2 mu = 0: E(w) has eigenvalues (0, -1, -1) in every direction, so
+    # two nonzero +- pairs with two eigenvectors each, whatever roundoff leaves
+    # in the zero eigenvalue
+    report = scan_directions(elasticity_map(linear_isotropic(2.0, -1.0)), np.eye(3), 1.0)
+    assert len(report.records) == 256 + 26
+    assert [r.independent_count for r in report.records] == [4] * 282
+
+
+def test_bisection_evaluates_each_stretch_once():
+    S4_at, calls = elasticity_map(st_venant_kirchhoff(LAM, MU)), []
+
+    def counted(F):
+        calls.append(F)
+        return S4_at(F)
+
+    assert ellipticity_loss_bisection(counted, 0.3, 1.0, n_dirs=64) == 0.8944271909999162
+    assert len(calls) == 2 + 50  # the two bracket ends, then one per halving

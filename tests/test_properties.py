@@ -6,11 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from elastocons import (Field, Grid, State, acoustic_spectrum, classical_model,
-                        corrupted_model, fd_derivative, momentum_from_velocity, neo_hookean, pointwise_model,
-                        st_venant_kirchhoff, step_lax_friedrichs, stored_energy_registry,
-                        tensor_mass_model, total_deformation, total_momentum)
+from elastocons import (Field, Grid, State, acoustic_spectrum, baseline_directions,
+                        classical_model, corrupted_model, eigenstructure, fd_derivative,
+                        fibonacci_sphere, flux_jacobian, momentum_from_velocity, neo_hookean,
+                        pointwise_model, scan_directions, st_venant_kirchhoff,
+                        step_lax_friedrichs, stored_energy_registry, tensor_mass_model,
+                        total_deformation, total_momentum)
 from elastocons.constitutive import CORRUPTION_KINDS
+from elastocons.hyperbolicity import velocity_coefficient_root
 from elastocons.tolerances import DEFAULT
 
 LAM, MU = 2.0, 1.0
@@ -104,6 +107,33 @@ def test_elasticity_major_symmetry_and_symmetric_acoustic_tensor(se, F, w):
     E, _ = acoustic_spectrum(S4, w / np.linalg.norm(w, axis=-1, keepdims=True))
     assert E.shape == (4, 5, 3, 3)
     assert np.abs(E - E.swapaxes(-1, -2)).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(st.sampled_from(stored_energy_registry(LAM, MU)),
+       arrays(float, (3, 3), elements=_entries(-0.3, 0.3)),
+       st.one_of(_entries(0.1, 10.0),
+                 arrays(float, (3, 3), elements=_entries(-1.0, 1.0)).map(_spd)),
+       arrays(float, (3, 3), elements=_entries(-1.0, 1.0)), st.integers(1, 32))
+def test_scan_classification_matches_the_dense_jacobian(se, D, V, A, n_dirs):
+    F = np.eye(3) + D
+    assume(np.linalg.det(F) > 0.5 and abs(np.linalg.det(A)) > 0.05)
+    # rotating S4 and V by Q turns the scan's fixed directions w into the
+    # random directions Q w of the drawn material
+    Q = _rotation(A)
+    S4 = np.einsum("ai,bj,ch,dk,abcd->ijhk", Q, Q, Q, Q, se.analytic_elasticity(F))
+    V = V if np.ndim(V) == 0 else Q.T @ V @ Q
+    report = scan_directions(lambda _: S4, F, V, n_dirs=n_dirs)
+    dirs = np.vstack([fibonacci_sphere(n_dirs), baseline_directions()])
+    es = eigenstructure(flux_jacobian(S4, V, dirs))
+    # where eig(V^1/2 E V^1/2) is singular to roundoff, the dense count of
+    # independent eigenvectors is decided by that roundoff, so those
+    # directions have no reference to compare against
+    mu = acoustic_spectrum(S4, dirs, vroot=velocity_coefficient_root(V))[1]
+    keep = np.abs(mu).min(axis=-1) > 1e-6 * np.maximum(1.0, np.abs(mu).max(axis=-1))
+    assume(keep.any())
+    for r, zm, ic, k in zip(report.records, es.zero_multiplicity, es.independent_count, keep):
+        assert not k or (r.zero_multiplicity, r.independent_count) == (zm, ic)
 
 
 def _conservation_models():
