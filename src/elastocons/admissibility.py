@@ -273,6 +273,13 @@ class AdmissibilityReport:
         lines.append(f"all_pass={str(self.passed).lower()}")
         for key in sorted(self.notes):
             lines.append(f"note_{key}={self.notes[key]}")
+        rep = self.representation
+        if rep is not None:
+            lines += [f"representation_V_{i}{j}={rep.V_fit[i, j]:.17g}"
+                      for i in range(3) for j in range(3)]
+            lines += [f"representation_{key}={getattr(rep, key):.17g}" for key in
+                      ("symmetry_residual", "linearity_residual", "split_residual")]
+            lines.append(f"representation_split_pass={str(rep.split_pass).lower()}")
         return "\n".join(lines) + "\n"
 
 

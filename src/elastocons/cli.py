@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 One binary, mode-dispatched: loads a sectioned key/value configuration,
-builds the requested constitutive model, and runs admissibility checks, a
-hyperbolicity direction scan, a time evolution, or all three.  Every output
+builds the requested constitutive model once, and runs admissibility checks,
+a hyperbolicity direction scan, a time evolution, or all three.  Every output
 file is CSV (or a flat key=value text block) with a deterministic header, so
 identical configs and seeds produce byte-identical outputs.
 
 Exit codes: 0 all checks passed, 2 admissibility failure, 3 hyperbolicity
-failure, 4 simulation failure, 64 configuration error.
+failure, 4 simulation failure, 64 configuration error (a model that cannot be
+built included).  A library error inside a stage fails that stage; the first
+failing stage sets the exit code.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .admissibility import full_report
 from .config import MODES, RunConfig, load_config
 from .constitutive import (ConstitutiveModel, State, classical_model, corrupted_model,
                            elasticity_map, stored_energy_by_name, tensor_mass_model)
-from .errors import (Blowup, ConfigError, DomainError, ElastoconsError, NewtonDivergence,
-                     NonHyperbolicState, PreconditionFailure)
+from .errors import ElastoconsError
 from .hyperbolicity import scan_directions
 from .solver import (Field, Grid, affine_initial_field, rest_field, run,
                      sine_wave_field)
@@ -54,6 +55,14 @@ def _header(cfg: RunConfig) -> str:
             f"# seed={cfg.seed}\n")
 
 
+def _write(name: str, cfg: RunConfig, columns: str, lines):
+    """Write the file ``name`` of the output directory: header, column line, lines."""
+    with open(os.path.join(cfg.out, name), "w", encoding="utf-8") as fh:
+        fh.write(_header(cfg))
+        fh.write(columns)
+        fh.writelines(lines)
+
+
 def _say(cfg: RunConfig, msg: str):
     if not cfg.quiet:
         print(msg)
@@ -77,61 +86,37 @@ def build_model(cfg: RunConfig) -> ConstitutiveModel:
 
 
 # ---------------------------------------------------------------------------
-# Modes
+# Stages: each takes the built model and returns whether it passed
 # ---------------------------------------------------------------------------
 
-def mode_admissibility(cfg: RunConfig, out_dir: str) -> int:
-    model = build_model(cfg)
+def mode_admissibility(cfg: RunConfig, model: ConstitutiveModel) -> bool:
     report = full_report(model, n_probes=cfg.probe_count, seed=cfg.seed)
-
-    with open(os.path.join(out_dir, "admissibility.csv"), "w", encoding="utf-8") as fh:
-        fh.write(_header(cfg))
-        fh.write("check,residual,tolerance,pass\n")
-        for name, value, tol, ok in report.rows():
-            fh.write(f"{name},{_fmt(value)},{_fmt(tol)},{str(ok).lower()}\n")
-
-    text = report.as_text()
-    rep = report.representation
-    if rep is not None:
-        text += "".join(f"representation_V_{i}{j}={_fmt(rep.V_fit[i, j])}\n"
-                        for i in range(3) for j in range(3))
-        text += "".join(f"representation_{key}={_fmt(getattr(rep, key))}\n" for key in
-                        ("symmetry_residual", "linearity_residual", "split_residual"))
-        text += f"representation_split_pass={str(rep.split_pass).lower()}\n"
-    with open(os.path.join(out_dir, "admissibility.txt"), "w", encoding="utf-8") as fh:
-        fh.write(_header(cfg))
-        fh.write(text)
+    _write("admissibility.csv", cfg, "check,residual,tolerance,pass\n",
+           (f"{name},{_fmt(value)},{_fmt(tol)},{str(ok).lower()}\n"
+            for name, value, tol, ok in report.rows()))
+    _write("admissibility.txt", cfg, "", [report.as_text()])
 
     _say(cfg, f"admissibility: {'PASS' if report.passed else 'FAIL'} "
               f"({report.probes} probes, seed {report.seed})")
-    if not report.passed:
-        for name, value, tol, ok in report.rows():
-            if not ok:
-                _say(cfg, f"  failed {name}: value {_fmt(value)} vs tolerance {_fmt(tol)}")
-    return EXIT_OK if report.passed else EXIT_ADMISSIBILITY
+    for name, value, tol, ok in report.rows():
+        if not ok:
+            _say(cfg, f"  failed {name}: value {_fmt(value)} vs tolerance {_fmt(tol)}")
+    return report.passed
 
 
-def mode_hyperbolicity(cfg: RunConfig, out_dir: str) -> int:
-    S4_at, V = elasticity_map(build_model(cfg)), velocity_coefficient(cfg)
-    try:
-        report = scan_directions(S4_at, cfg.hyp_F, V, n_dirs=cfg.n_dirs)
-    except (NonHyperbolicState, DomainError) as exc:
-        _say(cfg, f"hyperbolicity: FAIL ({exc})")
-        return EXIT_HYPERBOLICITY
-
-    with open(os.path.join(out_dir, "hyperbolicity.csv"), "w", encoding="utf-8") as fh:
-        fh.write(_header(cfg))
-        fh.write("w0,w1,w2,eig1,eig2,eig3,speed1,speed2,speed3,"
-                 "zero_multiplicity,independent_count\n")
-        for row in report.rows():
-            vals = [_fmt(x) for x in row[:9]] + [str(row[9]), str(row[10])]
-            fh.write(",".join(vals) + "\n")
+def mode_hyperbolicity(cfg: RunConfig, model: ConstitutiveModel) -> bool:
+    report = scan_directions(elasticity_map(model), cfg.hyp_F, velocity_coefficient(cfg),
+                             n_dirs=cfg.n_dirs)
+    _write("hyperbolicity.csv", cfg,
+           "w0,w1,w2,eig1,eig2,eig3,speed1,speed2,speed3,zero_multiplicity,independent_count\n",
+           (",".join([_fmt(x) for x in row[:9]] + [str(row[9]), str(row[10])]) + "\n"
+            for row in report.rows()))
 
     verdict = "strongly elliptic" if report.strongly_elliptic else "NOT strongly elliptic"
     _say(cfg, f"hyperbolicity: {verdict}; min acoustic eigenvalue "
               f"{_fmt(report.min_eigenvalue)} along direction "
               f"({', '.join(_fmt(x) for x in report.worst_direction)})")
-    return EXIT_OK if report.strongly_elliptic else EXIT_HYPERBOLICITY
+    return report.strongly_elliptic
 
 
 def _build_field(cfg: RunConfig, model: ConstitutiveModel) -> Field:
@@ -149,56 +134,54 @@ def _build_field(cfg: RunConfig, model: ConstitutiveModel) -> Field:
                                 cfg.affine_a, cfg.affine_b, cfg.affine_c, x0)
 
 
-def _write_snapshot(path: str, cfg: RunConfig, model: ConstitutiveModel, fld: Field):
+def _write_snapshot(name: str, cfg: RunConfig, model: ConstitutiveModel, fld: Field):
     st = State(fld.F, fld.p)
     n = fld.F.size // 9
     table = np.column_stack([fld.grid.positions().reshape(n, 3), fld.F.reshape(n, 9),
                              fld.p.reshape(n, 3), model.velocity(st).reshape(n, 3),
                              model.energy(st).reshape(n)])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(cfg))
-        fh.write(SNAPSHOT_COLUMNS)
-        # row by row: one list of the whole table would raise the peak memory
-        fh.writelines(SNAPSHOT_ROW % (flat, *row.tolist()) for flat, row in enumerate(table))
+    # row by row: one list of the whole table would raise the peak memory
+    _write(name, cfg, SNAPSHOT_COLUMNS,
+           (SNAPSHOT_ROW % (flat, *row.tolist()) for flat, row in enumerate(table)))
 
 
-def mode_simulate(cfg: RunConfig, out_dir: str) -> int:
-    model = build_model(cfg)
-    try:
-        fld = _build_field(cfg, model)
-        _write_snapshot(os.path.join(out_dir, "snapshot_initial.csv"), cfg, model, fld)
-        final, trace = run(model, fld, t_end=cfg.t_end, cfl=cfg.cfl,
-                           monitor_every=cfg.monitor_every)
-    except (Blowup, NonHyperbolicState, NewtonDivergence, PreconditionFailure) as exc:
-        _say(cfg, f"simulation: FAIL ({exc})")
-        return EXIT_SIMULATION
-
-    with open(os.path.join(out_dir, "monitors.csv"), "w", encoding="utf-8") as fh:
-        fh.write(_header(cfg))
-        fh.write("step,t,energy,energy_drift,involution_residual,dissipation_residual\n")
-        for row in trace.rows():
-            fh.write(str(row[0]) + "," + ",".join(_fmt(x) for x in row[1:]) + "\n")
-    _write_snapshot(os.path.join(out_dir, "snapshot_final.csv"), cfg, model, final)
+def mode_simulate(cfg: RunConfig, model: ConstitutiveModel) -> bool:
+    fld = _build_field(cfg, model)
+    _write_snapshot("snapshot_initial.csv", cfg, model, fld)
+    final, trace = run(model, fld, t_end=cfg.t_end, cfl=cfg.cfl,
+                       monitor_every=cfg.monitor_every)
+    _write("monitors.csv", cfg,
+           "step,t,energy,energy_drift,involution_residual,dissipation_residual\n",
+           (str(row[0]) + "," + ",".join(_fmt(x) for x in row[1:]) + "\n"
+            for row in trace.rows()))
+    _write_snapshot("snapshot_final.csv", cfg, model, final)
 
     _say(cfg, f"simulation: OK to t = {_fmt(final.t)} "
               f"({trace.steps[-1]} steps, energy drift {_fmt(trace.energy_drift[-1])})")
-    return EXIT_OK
+    return True
 
 
 def run_all(cfg: RunConfig) -> int:
-    """Dispatch the configured mode(s); returns the process exit code."""
-    out_dir = cfg.out
-    os.makedirs(out_dir, exist_ok=True)
-    if cfg.mode == "admissibility":
-        return mode_admissibility(cfg, out_dir)
-    if cfg.mode == "hyperbolicity":
-        return mode_hyperbolicity(cfg, out_dir)
-    if cfg.mode == "simulate":
-        return mode_simulate(cfg, out_dir)
+    """Build the model once and run the configured stage(s); returns the exit code.
+
+    A model that cannot be built raises before the output directory exists.
+    """
+    model = build_model(cfg)
+    os.makedirs(cfg.out, exist_ok=True)
     status = EXIT_OK
-    for fn in (mode_admissibility, mode_hyperbolicity, mode_simulate):
-        code = fn(cfg, out_dir)
-        if code != EXIT_OK and status == EXIT_OK:
+    # built at call time, so that replaced module attributes take effect
+    for mode, label, stage, code in (
+            ("admissibility", "admissibility", mode_admissibility, EXIT_ADMISSIBILITY),
+            ("hyperbolicity", "hyperbolicity", mode_hyperbolicity, EXIT_HYPERBOLICITY),
+            ("simulate", "simulation", mode_simulate, EXIT_SIMULATION)):
+        if cfg.mode not in (mode, "all"):
+            continue
+        try:
+            passed = stage(cfg, model)
+        except ElastoconsError as exc:
+            _say(cfg, f"{label}: FAIL ({exc})")
+            passed = False
+        if not passed and status == EXIT_OK:
             status = code
     return status
 
@@ -220,19 +203,10 @@ def main(argv=None) -> int:
         overrides["quiet"] = "true"
 
     try:
-        cfg = load_config(args.config, overrides)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
+        return run_all(load_config(args.config, overrides))
+    except ElastoconsError as exc:  # an invalid config, or a model it cannot build
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        return run_all(cfg)
-    except ElastoconsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION if cfg.mode in ("simulate", "all") else EXIT_CONFIG
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_CONFIG

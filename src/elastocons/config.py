@@ -131,6 +131,9 @@ class _Collector:
         except ValueError:
             self.problems.append(f"[{section}] {key} = {val!r}: expected a number")
             return default
+        if not np.isfinite(num):
+            self.problems.append(f"[{section}] {key} = {val!r}: must be finite")
+            return default
         if positive and not num > 0:
             self.problems.append(f"[{section}] {key} = {num}: must be positive")
             return default
@@ -149,6 +152,9 @@ class _Collector:
             self.problems.append(
                 f"[{section}] {key}: expected {' or '.join(map(str, sizes))} entries, "
                 f"got {len(entries)}")
+            return default
+        if not np.isfinite(entries).all():
+            self.problems.append(f"[{section}] {key} = {val!r}: entries must be finite")
             return default
         return np.array(entries)
 
@@ -214,20 +220,21 @@ def parse_config(text: str, run_overrides: dict | None = None) -> RunConfig:
     if cfg.dims not in (1, 3):
         col.problems.append(f"[grid] dims = {cfg.dims}: must be 1 or 3")
         cfg.dims = 1
-    cells = col.vector("grid", "cells", None, sizes=(1, 3))
-    lengths = col.vector("grid", "length", None, sizes=(1, 3))
+    axis_sizes = (1,) if cfg.dims == 1 else (1, 3)  # one entry serves every axis
+    cells = col.vector("grid", "cells", None, sizes=axis_sizes)
+    lengths = col.vector("grid", "length", None, sizes=axis_sizes)
     if cells is None:
         cfg.cells = (400,) if cfg.dims == 1 else (16, 16, 16)
+    elif (cells != np.floor(cells)).any():
+        col.problems.append(f"[grid] cells = {cells.tolist()}: expected whole numbers")
     else:
-        vals = [int(x) for x in cells]
-        cfg.cells = tuple(vals) if len(vals) == cfg.dims else tuple(vals[:1] * cfg.dims)
+        cfg.cells = tuple(int(x) for x in np.broadcast_to(cells, cfg.dims))
         if any(c < 4 for c in cfg.cells):
             col.problems.append(f"[grid] cells = {cfg.cells}: need >= 4 per axis")
     if lengths is None:
         cfg.lengths = (1.0,) * cfg.dims
     else:
-        vals = list(lengths)
-        cfg.lengths = tuple(vals) if len(vals) == cfg.dims else tuple(vals[:1] * cfg.dims)
+        cfg.lengths = tuple(np.broadcast_to(lengths, cfg.dims).tolist())
         if any(x <= 0 for x in cfg.lengths):
             col.problems.append(f"[grid] length = {cfg.lengths}: must be positive")
 

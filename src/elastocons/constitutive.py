@@ -182,8 +182,7 @@ def neo_hookean(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
 
     def _logdet(F):
         J = np.linalg.det(F)
-        bad = J <= 0.0
-        if bad.any() if bad.ndim else bad:  # a single state skips the array round trip
+        if (J <= 0.0).any():
             raise DomainError(f"neo-Hookean energy requires det F > 0, got {np.min(J):.3e}")
         return np.log(J)
 
@@ -196,7 +195,7 @@ def neo_hookean(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         F = np.asarray(F, dtype=float)
         c = lam * _logdet(F) - mu
         FinvT = np.linalg.inv(F).swapaxes(-1, -2)
-        return mu * F + (c * FinvT if F.ndim == 2 else c[..., None, None] * FinvT)
+        return mu * F + c[..., None, None] * FinvT
 
     I4 = mu * np.einsum("ih,jk->ijhk", EYE3, EYE3)
 

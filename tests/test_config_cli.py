@@ -306,3 +306,66 @@ def test_cli_scan_point_outside_the_energy_domain_fails_hyperbolicity(tmp_path, 
     assert "hyperbolicity: FAIL (neo-Hookean energy requires det F > 0" in stdout
     assert not os.path.exists(os.path.join(out, "hyperbolicity.csv"))
     assert ("simulation: OK" in stdout) == (mode == "all")
+
+
+def test_non_finite_numbers_are_rejected_together():
+    bad = (MINIMAL.replace("lambda = 2", "lambda = nan")
+           + "[evolve]\nt_end = inf\n[hyperbolicity]\nf = 1 0 0 0 1 0 0 0 -inf\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(bad)
+    problems = err.value.problems
+    assert len(problems) == 3
+    for key in ("lambda", "t_end", "f"):
+        assert any(f"] {key} = " in p and "finite" in p for p in problems), key
+
+
+@pytest.mark.parametrize("grid", ["cells = 10.9", "cells = 16 32 64", "length = 1 2 3",
+                                  "dims = 3\ncells = 8 8"])
+def test_grid_entries_are_whole_and_one_or_one_per_axis(grid):
+    with pytest.raises(ValidationError) as err:
+        parse_config(MINIMAL + "[grid]\n" + grid + "\n")
+    assert ("cells" in str(err.value)) == ("cells" in grid)
+
+
+def test_one_grid_entry_serves_every_axis():
+    cfg = parse_config(MINIMAL + "[grid]\ndims = 3\ncells = 8\nlength = 1 2 3\n")
+    assert (cfg.cells, cfg.lengths) == ((8, 8, 8), (1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("v", ["1 1 1e-13", "1 0.5 0 0 1 0 0 0 1"])
+@pytest.mark.parametrize("mode", ["admissibility", "hyperbolicity", "simulate", "all"])
+def test_cli_model_that_cannot_be_built_exit_64(tmp_path, capsys, mode, v):
+    # a singular or non-symmetric V is a configuration error in every mode
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, FAST_ALL.replace("model = classical", "model = tensor\nv = " + v))
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--mode", mode, "--out", out, "--quiet"]) == 64
+    assert "velocity coefficient tensor V is" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_library_error_inside_a_stage_fails_that_stage(tmp_path, capsys):
+    # the affine initial field has det F = -1, outside the neo-Hookean domain:
+    # the simulation stage fails, after the hyperbolicity stage has failed first
+    tmp = str(tmp_path)
+    text = FAST_ALL.replace("model = classical", "model = tensor\nv = 1 1 -1").replace(
+        "sigma = linear_isotropic", "sigma = neo_hookean").replace(
+        "t_end = 0.03", "t_end = 0.01") + "[initial]\nkind = affine\nA = -1 0 0 0 1 0 0 0 1\n"
+    cfgp = _write(tmp, text)
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert "hyperbolicity: FAIL (velocity coefficient not positive definite" in captured.out
+    assert "simulation: FAIL (neo-Hookean energy requires det F > 0" in captured.out
+    assert captured.err == ""
+
+
+def test_cli_all_builds_the_model_once(tmp_path, monkeypatch):
+    from elastocons import cli
+    built = []
+    build_model = cli.build_model
+    monkeypatch.setattr(cli, "build_model", lambda cfg: built.append(cfg) or build_model(cfg))
+    tmp = str(tmp_path)
+    assert main(["--config", _write(tmp, FAST_ALL), "--out", os.path.join(tmp, "out"),
+                 "--quiet"]) == 0
+    assert len(built) == 1
