@@ -7,9 +7,9 @@ file is CSV (or a flat key=value text block) with a deterministic header, so
 identical configs and seeds produce byte-identical outputs.
 
 Exit codes: 0 all checks passed, 2 admissibility failure, 3 hyperbolicity
-failure, 4 simulation failure, 64 configuration error (a model that cannot be
-built included).  A library error inside a stage fails that stage; the first
-failing stage sets the exit code.
+failure, 4 simulation failure, 64 configuration error (a bad or missing flag
+and a model that cannot be built included).  A library error inside a stage
+fails that stage; the first failing stage sets the exit code.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .admissibility import full_report
-from .config import MODES, RunConfig, load_config
+from .config import RunConfig, load_config
 from .constitutive import (ConstitutiveModel, State, classical_model, corrupted_model,
                            elasticity_map, stored_energy_by_name, tensor_mass_model)
 from .errors import ElastoconsError
@@ -192,18 +192,21 @@ def main(argv=None) -> int:
         description="Admissibility, hyperbolicity and wave-propagation analysis "
                     "of elasticity in conservation form.")
     ap.add_argument("--config", required=True, help="path to the configuration file")
-    ap.add_argument("--mode", choices=MODES, help="override the configured mode")
+    ap.add_argument("--mode", help="override the configured mode: admissibility, "
+                                   "hyperbolicity, simulate or all")
     ap.add_argument("--out", help="override the output directory")
-    ap.add_argument("--seed", type=int, help="override the probe seed")
-    ap.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = ap.parse_args(argv)
-    overrides = {key: str(value) for key, value in
-                 (("mode", args.mode), ("out", args.out), ("seed", args.seed)) if value is not None}
-    if args.quiet:
-        overrides["quiet"] = "true"
+    ap.add_argument("--seed", help="override the probe seed")
+    ap.add_argument("--quiet", action="store_const", const="true",
+                    help="suppress progress output")
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the usage and the error
+        return EXIT_CONFIG if exc.code else EXIT_OK
+    overrides = {key: value for key, value in vars(args).items() if value is not None}
+    path = overrides.pop("config")
 
     try:
-        return run_all(load_config(args.config, overrides))
+        return run_all(load_config(path, overrides))
     except ElastoconsError as exc:  # an invalid config, or a model it cannot build
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

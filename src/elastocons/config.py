@@ -1,9 +1,11 @@
 """Sectioned key/value run configuration.
 
-The format is INI-style: sections in brackets, ``key = value`` lines.  All
-validation problems are collected and reported together; unknown sections or
-keys are errors, not warnings, so a typo can never silently fall back to a
-default.
+The format is INI-style: sections in brackets, ``key = value`` lines.
+``SCHEMA`` maps every section and key to its ``RunConfig`` attribute (the
+defaults) and its parser, which returns the value of the stripped text or
+raises ValueError carrying the problem's tail after ``[section] key``.  All
+problems are reported together; unknown sections or keys are errors, not
+warnings, so a typo can never silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -15,22 +17,6 @@ import numpy as np
 
 from .constitutive import CORRUPTION_KINDS
 from .errors import ParseError, ValidationError
-
-MODES = ("admissibility", "hyperbolicity", "simulate", "all")
-MODELS = ("classical", "tensor")
-SIGMAS = ("linear_isotropic", "stvk", "neo_hookean")
-INITIAL_KINDS = ("rest", "sine", "affine")
-POLARIZATIONS = ("longitudinal", "transverse")
-
-KNOWN_KEYS = {
-    "run": {"mode", "seed", "out", "quiet"},
-    "model": {"model", "rho", "sigma", "lambda", "mu", "v", "corruption"},
-    "probes": {"count"},
-    "hyperbolicity": {"n_dirs", "f"},
-    "grid": {"dims", "cells", "length"},
-    "initial": {"kind", "polarization", "amplitude", "A", "B", "a", "b", "c", "x0"},
-    "evolve": {"cfl", "t_end", "monitor_every"},
-}
 
 
 @dataclass
@@ -74,89 +60,106 @@ class RunConfig:
     raw: str = ""
 
 
-class _Collector:
-    """Typed value extraction that records problems instead of raising."""
-
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
-        self.problems: list[str] = []
-
-    def has(self, section, key):
-        return self.parser.has_section(section) and self.parser.has_option(section, key)
-
-    def _get(self, section, key):
-        return self.parser.get(section, key).strip()
-
-    def string(self, section, key, default, choices=None):
-        if not self.has(section, key):
-            return default
-        val = self._get(section, key)
-        if choices is not None and val not in choices:
-            self.problems.append(
-                f"[{section}] {key} = {val!r}: expected one of {', '.join(choices)}")
-            return default
+def choice(*options):
+    def parse(val):
+        if val not in options:
+            raise ValueError(f" = {val!r}: expected one of {', '.join(options)}")
         return val
+    return parse
 
-    def boolean(self, section, key, default):
-        if not self.has(section, key):
-            return default
-        val = self._get(section, key).lower()
-        if val in ("true", "yes", "1", "on"):
-            return True
-        if val in ("false", "no", "0", "off"):
-            return False
-        self.problems.append(f"[{section}] {key} = {val!r}: expected a boolean")
-        return default
 
-    def integer(self, section, key, default, minimum=None):
-        if not self.has(section, key):
-            return default
-        val = self._get(section, key)
-        try:
-            num = int(val)
-        except ValueError:
-            self.problems.append(f"[{section}] {key} = {val!r}: expected an integer")
-            return default
+def boolean(val):
+    val = val.lower()
+    if val not in configparser.ConfigParser.BOOLEAN_STATES:  # true/false, yes/no, 1/0, on/off
+        raise ValueError(f" = {val!r}: expected a boolean")
+    return configparser.ConfigParser.BOOLEAN_STATES[val]
+
+
+def _convert(convert, val, expected):
+    try:
+        return convert(val)
+    except ValueError:
+        raise ValueError(f" = {val!r}: expected {expected}") from None
+
+
+def integer(minimum=None):
+    def parse(val):
+        num = _convert(int, val, "an integer")
         if minimum is not None and num < minimum:
-            self.problems.append(f"[{section}] {key} = {num}: must be >= {minimum}")
-            return default
+            raise ValueError(f" = {num}: must be >= {minimum}")
         return num
+    return parse
 
-    def number(self, section, key, default, positive=False):
-        if not self.has(section, key):
-            return default
-        val = self._get(section, key)
-        try:
-            num = float(val)
-        except ValueError:
-            self.problems.append(f"[{section}] {key} = {val!r}: expected a number")
-            return default
-        if not np.isfinite(num):
-            self.problems.append(f"[{section}] {key} = {val!r}: must be finite")
-            return default
+
+def _finite(val, nums, subject):
+    """``inf`` and ``nan`` parse as floats, but no key takes them."""
+    if not np.isfinite(nums).all():
+        raise ValueError(f" = {val!r}: {subject} be finite")
+
+
+def number(positive=False):
+    def parse(val):
+        num = _convert(float, val, "a number")
+        _finite(val, num, "must")
         if positive and not num > 0:
-            self.problems.append(f"[{section}] {key} = {num}: must be positive")
-            return default
+            raise ValueError(f" = {num}: must be positive")
         return num
+    return parse
 
-    def vector(self, section, key, default, sizes=(3,)):
-        if not self.has(section, key):
-            return default
-        val = self._get(section, key)
-        try:
-            entries = [float(x) for x in val.replace(",", " ").split()]
-        except ValueError:
-            self.problems.append(f"[{section}] {key} = {val!r}: expected numbers")
-            return default
+
+def vector(*sizes):
+    """Entries separated by spaces or commas, as many as one of ``sizes``; nine
+    entries are a 3x3 matrix, row-major."""
+    def parse(val):
+        entries = _convert(lambda text: [float(x) for x in text.replace(",", " ").split()],
+                           val, "numbers")
         if len(entries) not in sizes:
-            self.problems.append(
-                f"[{section}] {key}: expected {' or '.join(map(str, sizes))} entries, "
-                f"got {len(entries)}")
-            return default
-        if not np.isfinite(entries).all():
-            self.problems.append(f"[{section}] {key} = {val!r}: entries must be finite")
-            return default
-        return np.array(entries)
+            raise ValueError(f": expected {' or '.join(map(str, sizes))} entries, "
+                             f"got {len(entries)}")
+        _finite(val, entries, "entries must")
+        return np.reshape(entries, (3, 3) if len(entries) == 9 else -1)
+    return parse
+
+
+def velocity_tensor(val):
+    """V row-major, or its three diagonal entries."""
+    entries = vector(3, 9)(val)
+    return np.diag(entries) if entries.size == 3 else entries
+
+
+SCHEMA = {
+    "run": {"mode": ("mode", choice("admissibility", "hyperbolicity", "simulate", "all")),
+            "seed": ("seed", integer(minimum=0)),
+            "out": ("out", str),
+            "quiet": ("quiet", boolean)},
+    "model": {"model": ("model", choice("classical", "tensor")),
+              "rho": ("rho", number(positive=True)),
+              "sigma": ("sigma", choice("linear_isotropic", "stvk", "neo_hookean")),
+              "lambda": ("lam", number()),
+              "mu": ("mu", number()),
+              "corruption": ("corruption", choice("none", *CORRUPTION_KINDS)),
+              "v": ("v_tensor", velocity_tensor)},
+    "probes": {"count": ("probe_count", integer(minimum=4))},
+    "hyperbolicity": {"n_dirs": ("n_dirs", integer(minimum=1)),
+                      "f": ("hyp_F", vector(9))},
+    # None: the entry count of cells and length depends on dims, so the grid
+    # rule of parse_config parses them
+    "grid": {"dims": ("dims", integer()),
+             "cells": ("cells", None),
+             "length": ("lengths", None)},
+    "initial": {"kind": ("initial_kind", choice("rest", "sine", "affine")),
+                "polarization": ("polarization", choice("longitudinal", "transverse")),
+                "amplitude": ("amplitude", number()),
+                "A": ("affine_A", vector(9)),
+                "B": ("affine_B", vector(9)),
+                "a": ("affine_a", vector(3)),
+                "b": ("affine_b", vector(3)),
+                "c": ("affine_c", vector(3)),
+                "x0": ("affine_x0", vector(3))},
+    "evolve": {"cfl": ("cfl", number()),
+               "t_end": ("t_end", number(positive=True)),
+               "monitor_every": ("monitor_every", integer(minimum=1))},
+}
 
 
 def parse_config(text: str, run_overrides: dict | None = None) -> RunConfig:
@@ -175,96 +178,55 @@ def parse_config(text: str, run_overrides: dict | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ParseError(str(exc)) from exc
     if run_overrides:
-        if not parser.has_section("run"):
-            parser.add_section("run")
-        for key, value in run_overrides.items():
-            parser.set("run", key, value)
+        parser.read_dict({"run": run_overrides})
 
-    col = _Collector(parser)
+    problems = []
     for section in parser.sections():
-        if section not in KNOWN_KEYS:
-            col.problems.append(f"[{section}]: unknown section")
+        if section not in SCHEMA:
+            problems.append(f"[{section}]: unknown section")
             continue
-        for key in parser.options(section):
-            if key not in KNOWN_KEYS[section]:
-                col.problems.append(f"[{section}] {key}: unknown key")
+        problems.extend(f"[{section}] {key}: unknown key"
+                        for key in parser.options(section) if key not in SCHEMA[section])
+
+    def read(section, key, parse):
+        """The value of a given key; None if it is absent or its problem is recorded."""
+        if not parser.has_option(section, key):
+            return None
+        try:
+            return parse(parser.get(section, key).strip())
+        except ValueError as exc:
+            problems.append(f"[{section}] {key}{exc}")
+            return None
 
     cfg = RunConfig(raw=text)
-    cfg.mode = col.string("run", "mode", cfg.mode, MODES)
-    cfg.seed = col.integer("run", "seed", cfg.seed, minimum=0)
-    cfg.out = col.string("run", "out", cfg.out)
-    cfg.quiet = col.boolean("run", "quiet", cfg.quiet)
+    for section, keys in SCHEMA.items():
+        for key, (attr, parse) in keys.items():
+            value = read(section, key, parse) if parse else None
+            if value is not None:
+                setattr(cfg, attr, value)
 
-    cfg.model = col.string("model", "model", cfg.model, MODELS)
-    cfg.rho = col.number("model", "rho", cfg.rho, positive=True)
-    cfg.sigma = col.string("model", "sigma", cfg.sigma, SIGMAS)
-    cfg.lam = col.number("model", "lambda", cfg.lam)
-    cfg.mu = col.number("model", "mu", cfg.mu)
-    cfg.corruption = col.string("model", "corruption", cfg.corruption,
-                                ("none",) + CORRUPTION_KINDS)
-    v_entries = col.vector("model", "v", None, sizes=(3, 9))
-    if v_entries is not None:
-        cfg.v_tensor = (np.diag(v_entries) if v_entries.size == 3
-                        else v_entries.reshape(3, 3))
-    elif cfg.model == "tensor":
-        col.problems.append("[model] v: required when model = tensor")
-
-    cfg.probe_count = col.integer("probes", "count", cfg.probe_count, minimum=4)
-
-    cfg.n_dirs = col.integer("hyperbolicity", "n_dirs", cfg.n_dirs, minimum=1)
-    hyp_F = col.vector("hyperbolicity", "f", None, sizes=(9,))
-    if hyp_F is not None:
-        cfg.hyp_F = hyp_F.reshape(3, 3)
-
-    cfg.dims = col.integer("grid", "dims", cfg.dims)
+    if cfg.model == "tensor" and cfg.v_tensor is None:
+        problems.append("[model] v: required when model = tensor")
     if cfg.dims not in (1, 3):
-        col.problems.append(f"[grid] dims = {cfg.dims}: must be 1 or 3")
+        problems.append(f"[grid] dims = {cfg.dims}: must be 1 or 3")
         cfg.dims = 1
     axis_sizes = (1,) if cfg.dims == 1 else (1, 3)  # one entry serves every axis
-    cells = col.vector("grid", "cells", None, sizes=axis_sizes)
-    lengths = col.vector("grid", "length", None, sizes=axis_sizes)
-    if cells is None:
-        cfg.cells = (400,) if cfg.dims == 1 else (16, 16, 16)
-    elif (cells != np.floor(cells)).any():
-        col.problems.append(f"[grid] cells = {cells.tolist()}: expected whole numbers")
+    cells, lengths = (read("grid", key, vector(*axis_sizes)) for key in ("cells", "length"))
+    if cells is not None and (cells != np.floor(cells)).any():
+        problems.append(f"[grid] cells = {cells.tolist()}: expected whole numbers")
     else:
+        cells = [400 if cfg.dims == 1 else 16] if cells is None else cells
         cfg.cells = tuple(int(x) for x in np.broadcast_to(cells, cfg.dims))
         if any(c < 4 for c in cfg.cells):
-            col.problems.append(f"[grid] cells = {cfg.cells}: need >= 4 per axis")
-    if lengths is None:
-        cfg.lengths = (1.0,) * cfg.dims
-    else:
-        cfg.lengths = tuple(np.broadcast_to(lengths, cfg.dims).tolist())
-        if any(x <= 0 for x in cfg.lengths):
-            col.problems.append(f"[grid] length = {cfg.lengths}: must be positive")
-
-    cfg.initial_kind = col.string("initial", "kind", cfg.initial_kind, INITIAL_KINDS)
-    cfg.polarization = col.string("initial", "polarization", cfg.polarization,
-                                  POLARIZATIONS)
-    cfg.amplitude = col.number("initial", "amplitude", cfg.amplitude)
-    A = col.vector("initial", "A", None, sizes=(9,))
-    if A is not None:
-        cfg.affine_A = A.reshape(3, 3)
-    B = col.vector("initial", "B", None, sizes=(9,))
-    if B is not None:
-        cfg.affine_B = B.reshape(3, 3)
-    for key in ("a", "b", "c"):
-        vec = col.vector("initial", key, None, sizes=(3,))
-        if vec is not None:
-            setattr(cfg, f"affine_{key}", vec)
-    x0 = col.vector("initial", "x0", None, sizes=(3,))
-    if x0 is not None:
-        cfg.affine_x0 = x0
-
-    cfg.cfl = col.number("evolve", "cfl", cfg.cfl)
+            problems.append(f"[grid] cells = {cfg.cells}: need >= 4 per axis")
+    cfg.lengths = tuple(np.broadcast_to([1.0] if lengths is None else lengths, cfg.dims).tolist())
+    if any(x <= 0 for x in cfg.lengths):
+        problems.append(f"[grid] length = {cfg.lengths}: must be positive")
     if not 0.0 < cfg.cfl <= 1.0:
-        col.problems.append(f"[evolve] cfl = {cfg.cfl}: must be in (0, 1]")
-    cfg.t_end = col.number("evolve", "t_end", cfg.t_end, positive=True)
-    cfg.monitor_every = col.integer("evolve", "monitor_every", cfg.monitor_every,
-                                    minimum=1)
+        problems.append(f"[evolve] cfl = {cfg.cfl}: must be in (0, 1]")
 
-    if col.problems:
-        raise ValidationError(col.problems)
+    if problems:
+        raise ValidationError(problems)
     return cfg
 
 

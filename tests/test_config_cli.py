@@ -1,11 +1,18 @@
+import configparser
+import dataclasses
+import io
 import os
+import re
 
 import numpy as np
 import pytest
 
-from elastocons import parse_config
+from elastocons import RunConfig, parse_config
 from elastocons.cli import main
+from elastocons.config import SCHEMA
 from elastocons.errors import ParseError, ValidationError
+
+REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "isotropic.ini")
 
 MINIMAL = """\
 [run]
@@ -369,3 +376,70 @@ def test_cli_all_builds_the_model_once(tmp_path, monkeypatch):
     assert main(["--config", _write(tmp, FAST_ALL), "--out", os.path.join(tmp, "out"),
                  "--quiet"]) == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--mode", "bogus"], "[run] mode = 'bogus': expected one of"),
+    (["--seed", "abc"], "[run] seed = 'abc': expected an integer"),
+    (None, "the following arguments are required: --config"),
+], ids=["bad-mode", "bad-seed", "missing-config"])
+def test_cli_usage_error_exit_64(tmp_path, capsys, flags, message):
+    # exit 2 is the admissibility-failure code, so a usage error must not use it
+    tmp = str(tmp_path)
+    out = os.path.join(tmp, "out")
+    args = ["--config", _write(tmp, MINIMAL)] + flags if flags else []
+    assert main(args + ["--out", out, "--quiet"]) == 64
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_help_exit_0(capsys):
+    assert main(["-h"]) == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_schema_runconfig_and_reference_config_agree():
+    # setattr on a misspelt attribute would silently create a new one
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert {attr for keys in SCHEMA.values() for attr, _ in keys.values()} <= fields
+    # the reference config names every key, commented or not, and no other
+    named, section = set(), None
+    with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+        for line in fh:
+            header = re.match(r"\[(\w+)\]", line)
+            entry = re.match(r"#?\s*(\w+)\s*=", line)
+            if header:
+                section = header.group(1)
+            elif entry and section:
+                named.add((section, entry.group(1)))
+    assert named == {(section, key) for section, keys in SCHEMA.items() for key in keys}
+
+
+BAD_VALUES = {
+    ("run", "mode"): "bogus", ("run", "seed"): "abc", ("run", "quiet"): "maybe",
+    ("model", "model"): "bogus", ("model", "rho"): "0", ("model", "sigma"): "bogus",
+    ("model", "lambda"): "nan", ("model", "mu"): "x", ("model", "corruption"): "bogus",
+    ("model", "v"): "1 2", ("probes", "count"): "3", ("hyperbolicity", "n_dirs"): "0",
+    ("hyperbolicity", "f"): "1 0 0", ("grid", "dims"): "2", ("grid", "cells"): "10.9",
+    ("grid", "length"): "-1", ("initial", "kind"): "bogus",
+    ("initial", "polarization"): "bogus", ("initial", "amplitude"): "inf",
+    ("initial", "A"): "1 2 3", ("initial", "B"): "x", ("initial", "a"): "1 2",
+    ("initial", "b"): "1 2 3 4", ("initial", "c"): "1 inf 0", ("initial", "x0"): "",
+    ("evolve", "cfl"): "1.5", ("evolve", "t_end"): "0", ("evolve", "monitor_every"): "0",
+}
+
+
+@pytest.mark.parametrize("section,key", [(section, key) for section, keys in SCHEMA.items()
+                                         for key in keys if (section, key) != ("run", "out")])
+def test_every_key_rejects_a_malformed_value(section, key):
+    # [run] out is left out: any text names an output directory
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(MINIMAL)
+    parser.read_dict({section: {key: BAD_VALUES[section, key]}})
+    text = io.StringIO()
+    parser.write(text)
+    with pytest.raises(ValidationError) as err:
+        parse_config(text.getvalue())
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith(f"[{section}] {key}")
