@@ -42,6 +42,7 @@ _FMT = "%.17g"
 SNAPSHOT_COLUMNS = ("index,x0,x1,x2," + ",".join(f"F{i}{j}" for i in range(3) for j in range(3))
                     + ",p0,p1,p2,v0,v1,v2,energy\n")
 SNAPSHOT_ROW = "%d," + ",".join([_FMT] * SNAPSHOT_COLUMNS.count(",")) + "\n"
+HYP_ROW = ",".join([_FMT] * 9) + ",%d,%d\n"
 
 
 def _fmt(x) -> str:
@@ -109,8 +110,7 @@ def mode_hyperbolicity(cfg: RunConfig, model: ConstitutiveModel) -> bool:
                              n_dirs=cfg.n_dirs)
     _write("hyperbolicity.csv", cfg,
            "w0,w1,w2,eig1,eig2,eig3,speed1,speed2,speed3,zero_multiplicity,independent_count\n",
-           (",".join([_fmt(x) for x in row[:9]] + [str(row[9]), str(row[10])]) + "\n"
-            for row in report.rows()))
+           (HYP_ROW % row for row in report.rows()))
 
     verdict = "strongly elliptic" if report.strongly_elliptic else "NOT strongly elliptic"
     _say(cfg, f"hyperbolicity: {verdict}; min acoustic eigenvalue "

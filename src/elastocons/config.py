@@ -171,7 +171,8 @@ def parse_config(text: str, run_overrides: dict | None = None) -> RunConfig:
     reported by the parser) and ValidationError listing every invalid
     section, key or value.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names the empty section, so [DEFAULT] is an ordinary, unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # affine keys A and a differ by case
     try:
         parser.read_string(text)

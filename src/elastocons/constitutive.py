@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (DomainError, NewtonDivergence, NotSymmetric, PreconditionFailure,
                      Singular)
-from .tensors import EYE3, asymmetry, check_finite, outer, sym_part
+from .tensors import EYE3, asymmetry, check_finite, det_cofactor, outer, sym_part
 from .tolerances import DEFAULT, FD_SCALE
 
 
@@ -178,32 +178,33 @@ def neo_hookean(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
     """Compressible neo-Hookean energy; defined only for det F > 0.
 
     sigma(F) = mu/2 (F:F - 3) - mu ln J + lam/2 (ln J)^2,   J = det F
+
+    J and F^-T = cof F / J come from the closed-form :func:`det_cofactor`.
     """
 
-    def _logdet(F):
-        J = np.linalg.det(F)
+    def _log_det_inv_t(F):
+        """(ln J, F^-T); the domain is checked before the log and the division."""
+        J, cof = det_cofactor(F)
         if (J <= 0.0).any():
             raise DomainError(f"neo-Hookean energy requires det F > 0, got {np.min(J):.3e}")
-        return np.log(J)
+        return np.log(J), cof / J[..., None, None]
 
     def sigma(F):
         F = np.asarray(F, dtype=float)
-        lnJ = _logdet(F)
+        lnJ = _log_det_inv_t(F)[0]
         return 0.5 * mu * ((F * F).sum((-2, -1)) - 3.0) - mu * lnJ + 0.5 * lam * lnJ * lnJ
 
     def stress(F):
         F = np.asarray(F, dtype=float)
-        c = lam * _logdet(F) - mu
-        FinvT = np.linalg.inv(F).swapaxes(-1, -2)
-        return mu * F + c[..., None, None] * FinvT
+        lnJ, FinvT = _log_det_inv_t(F)
+        return mu * F + (lam * lnJ - mu)[..., None, None] * FinvT
 
     I4 = mu * np.einsum("ih,jk->ijhk", EYE3, EYE3)
 
     def elasticity(F):
         F = np.asarray(F, dtype=float)
-        lnJ = _logdet(F)
-        Finv = np.linalg.inv(F)
-        FinvT = Finv.swapaxes(-1, -2)
+        lnJ, FinvT = _log_det_inv_t(F)
+        Finv = FinvT.swapaxes(-1, -2)
         S4 = np.multiply((lam * FinvT)[..., :, :, None, None], FinvT[..., None, None, :, :],
                          order="C")  # flat rows for E(w)
         S4 += I4

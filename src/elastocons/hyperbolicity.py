@@ -202,9 +202,9 @@ class HyperbolicityReport:
     worst_direction: np.ndarray
 
     def rows(self):
-        """CSV rows: direction, acoustic eigenvalues, speeds, multiplicities."""
+        """CSV rows of Python numbers: direction, acoustic eigenvalues, speeds, multiplicities."""
         for r in self.records:
-            yield (*r.w, *r.acoustic_eigenvalues, *r.wave_speeds,
+            yield (*r.w.tolist(), *r.acoustic_eigenvalues.tolist(), *r.wave_speeds.tolist(),
                    r.zero_multiplicity, r.independent_count)
 
 

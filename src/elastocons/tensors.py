@@ -1,9 +1,9 @@
 """Dense tensor algebra in three dimensions.
 
 Vectors are numpy arrays of shape (3,), second-order tensors (3, 3) (stacks
-of them for ``sym_part``, ``asymmetry`` and the eigensolvers), and fourth-order
-tensors (3, 3, 3, 3).  Everything here is a pure function of its inputs; nothing
-is mutated.
+of them for ``sym_part``, ``asymmetry``, ``det_cofactor`` and the
+eigensolvers), and fourth-order tensors (3, 3, 3, 3).  Everything here is a
+pure function of its inputs; nothing is mutated.
 """
 
 from __future__ import annotations
@@ -46,6 +46,24 @@ def asymmetry(M) -> float:
     M = np.asarray(M, dtype=float)
     scale = np.maximum(1.0, np.abs(M).max((-2, -1)))
     return float((np.abs(M - M.swapaxes(-1, -2)).max((-2, -1)) / scale).max())
+
+
+def det_cofactor(F):
+    """Determinant J and cofactor matrix J F^-T of F[..., 3, 3], in closed form.
+
+    The nine 2x2 cofactors are formed elementwise and J is expanded along row
+    0, so a matrix gives the same bits alone as in any stack.  Nothing is
+    divided, so a singular F is accepted.
+    """
+    F = np.asarray(F, dtype=float)
+    cof = np.empty(F.shape)
+    for i in range(3):
+        r, s = (i + 1) % 3, (i + 2) % 3  # cyclic order gives each cofactor its sign
+        for j in range(3):
+            c, d = (j + 1) % 3, (j + 2) % 3
+            cof[..., i, j] = F[..., r, c] * F[..., s, d] - F[..., r, d] * F[..., s, c]
+    return (F[..., 0, 0] * cof[..., 0, 0] + F[..., 0, 1] * cof[..., 0, 1]
+            + F[..., 0, 2] * cof[..., 0, 2]), cof
 
 
 def eig_sym(M, vectors: bool = True):

@@ -67,6 +67,16 @@ def test_unknown_key_is_named():
     assert "rho_typo" in str(err.value)
 
 
+def test_a_default_section_is_one_unknown_section():
+    # [DEFAULT] is not configparser's special section here: one problem, no key spread
+    with pytest.raises(ValidationError) as err:
+        parse_config("[DEFAULT]\nmode = bogus\nrho_typo = 3\n")
+    assert err.value.problems == ["[DEFAULT]: unknown section"]
+    with pytest.raises(ValidationError) as err:
+        parse_config(MINIMAL + "[DEFAULT]\nsigma = stvk\n")
+    assert err.value.problems == ["[DEFAULT]: unknown section"]
+
+
 def test_cfl_range_enforced():
     with pytest.raises(ValidationError) as err:
         parse_config(MINIMAL + "[evolve]\ncfl = 1.5\n")
@@ -275,6 +285,15 @@ def test_cli_indefinite_velocity_coefficient_fails_hyperbolicity(tmp_path, capsy
     out = os.path.join(tmp, "out")
     assert main(["--config", cfgp, "--mode", "hyperbolicity", "--out", out]) == 3
     assert "not positive definite" in capsys.readouterr().out
+
+
+def test_cli_default_section_exit_64(tmp_path, capsys):
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, MINIMAL + "[DEFAULT]\nquiet = true\n")
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--out", out, "--quiet"]) == 64
+    assert "[DEFAULT]: unknown section" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_negative_seed_override_exit_64(tmp_path, capsys):

@@ -2,17 +2,19 @@
 symmetries of the constitutive maps and the solver's discrete conservation."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from elastocons import (Field, Grid, State, acoustic_spectrum, baseline_directions,
-                        classical_model, corrupted_model, eigenstructure, fd_derivative,
-                        fibonacci_sphere, flux_jacobian, momentum_from_velocity, neo_hookean,
-                        pointwise_model, scan_directions, st_venant_kirchhoff,
-                        step_lax_friedrichs, stored_energy_registry, tensor_mass_model,
+                        classical_model, corrupted_model, eigenstructure, elasticity_map,
+                        fd_derivative, fibonacci_sphere, flux_jacobian,
+                        momentum_from_velocity, neo_hookean, pointwise_model,
+                        scan_directions, st_venant_kirchhoff, step_lax_friedrichs, stored_energy_registry, tensor_mass_model,
                         total_deformation, total_momentum)
 from elastocons.constitutive import CORRUPTION_KINDS
+from elastocons.errors import NonHyperbolicState
 from elastocons.hyperbolicity import velocity_coefficient_root
 from elastocons.tolerances import DEFAULT
 
@@ -143,21 +145,35 @@ def _conservation_models():
     yield pointwise_model("pointwise_stvk", m.energy, m.velocity, m.stress, m.analytic_S4)
 
 
+def _random_field(dims, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid.line(9, 1.0) if dims == 1 else Grid.box(4, 1.0)
+    F = np.eye(3) + rng.uniform(-0.1, 0.1, size=grid.cells + (3, 3))
+    p = rng.uniform(-0.5, 0.5, size=grid.cells + (3,))
+    return Field(grid=grid, F=F, p=p)
+
+
 @PROPERTY
 @given(st.sampled_from(list(_conservation_models())), st.sampled_from([1, 3]),
        st.integers(0, 2**32 - 1))
 def test_one_step_conserves_total_deformation_and_momentum(m, dims, seed):
     # random periodic data: the Rusanov fluxes telescope, so sum F and sum p
     # change only by roundoff
-    rng = np.random.default_rng(seed)
-    grid = Grid.line(9, 1.0) if dims == 1 else Grid.box(4, 1.0)
-    F = np.eye(3) + rng.uniform(-0.1, 0.1, size=grid.cells + (3, 3))
-    p = rng.uniform(-0.5, 0.5, size=grid.cells + (3,))
-    fld = Field(grid=grid, F=F, p=p)
+    fld = _random_field(dims, seed)
+    F, p, grid = fld.F, fld.p, fld.grid
+    # the solver refuses a field that is not hyperbolic along the grid axes
+    S4 = elasticity_map(m)(F.reshape(-1, 3, 3))
+    assume(acoustic_spectrum(S4, np.eye(3)[:dims])[1].min() >= 0.0)
     out = step_lax_friedrichs(m, fld, cfl=0.9)
     for total, scale in ((total_deformation, np.abs(F).sum()), (total_momentum, np.abs(p).sum())):
         drift = np.abs(total(out) - total(fld)).max()
         assert drift <= 1e-14 * grid.cell_volume * scale
+
+
+def test_a_random_field_off_the_hyperbolic_region_is_refused():
+    m = classical_model(1.5, st_venant_kirchhoff(LAM, MU))
+    with pytest.raises(NonHyperbolicState, match="along axis 2"):
+        step_lax_friedrichs(m, _random_field(3, 11643), cfl=0.9)
 
 
 @PROPERTY

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from elastocons import apply4, eig_general, eig_sym, outer
-from elastocons.errors import NonFinite, NotSymmetric
+from elastocons import apply4, det_cofactor, eig_general, eig_sym, neo_hookean, outer
+from elastocons.errors import DomainError, NonFinite, NotSymmetric
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -155,3 +157,35 @@ def test_eigensolvers_on_stacks_match_single_matrices_and_keep_their_checks():
         eig_general(np.zeros((4, 17, 17)))
     with pytest.raises(ValueError):
         eig_general(np.zeros((4, 3, 4)))
+
+
+def test_det_cofactor_agrees_with_lapack_to_the_conditioning():
+    rng = np.random.default_rng(7)
+    F = rng.normal(size=(2000, 3, 3))
+    F = F[np.abs(np.linalg.det(F)) > 1e-3]
+    J, cof = det_cofactor(F)
+    det, inv_t = np.linalg.det(F), np.linalg.inv(F).swapaxes(-1, -2)
+    bound = 4.0 * np.linalg.cond(F) * np.finfo(float).eps
+    assert (np.abs(J - det) <= bound * np.abs(det)).all()
+    err = np.abs(cof / J[:, None, None] - inv_t).max((-2, -1))
+    assert (err <= bound * np.abs(inv_t).max((-2, -1))).all()
+
+
+def test_det_cofactor_of_one_matrix_is_its_row_of_a_stack():
+    F = np.random.default_rng(8).normal(size=(5, 2, 3, 3))
+    J, cof = det_cofactor(F)
+    for idx in np.ndindex(5, 2):
+        one_J, one_cof = det_cofactor(F[idx])
+        assert np.array_equal(one_J, J[idx]) and np.array_equal(one_cof, cof[idx])
+
+
+def test_neo_hookean_refuses_a_singular_cell_before_dividing():
+    F = np.eye(3) + 0.1 * np.random.default_rng(9).normal(size=(6, 3, 3))
+    F[4] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]  # rank 2
+    assert det_cofactor(F)[0][4] == 0.0
+    se = neo_hookean(2.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (se.sigma, se.analytic_stress, se.analytic_elasticity):
+            with pytest.raises(DomainError):
+                call(F)
