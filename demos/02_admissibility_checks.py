@@ -34,7 +34,8 @@ for kind in ("parity", "thermo", "galilean"):
 # a thermodynamically inconsistent model admits rates that violate the
 # dissipation inequality; exhibit one such direction
 bad = corrupted_model("thermo")
-probe = draw_states(5, np.random.default_rng(SEED))[3]
+probes = draw_states(5, np.random.default_rng(SEED))
+probe = State(probes.F[3], probes.p[3])
 F_rate, p_rate, amount = find_dissipation_violation(bad, probe)
 print("dissipation violation witness for the scaled-stress model:")
 print("  d tau/dt - S : dF/dt - v . dp/dt =", amount, "> 0 along")

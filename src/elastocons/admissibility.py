@@ -12,11 +12,14 @@ conservation system well-posed and thermodynamically consistent:
                      state-independent amount
 * parity          -- energy is even in momentum
 
-All derivatives are central finite differences; every check reports the worst
-residual over the probe set next to its tolerance.  When the invariance checks
-pass, the velocity map must be linear (v = V p with V symmetric) and the
-energy must split additively into kinetic and stored parts; both facts are
-recovered and certified numerically by :func:`extract_representation`.
+A probe set is one :class:`State` stack from the draw on (the ellipticity
+probes are the stacks (F, v, a)), so each check evaluates the model maps on
+the whole set at once.  All derivatives are central finite differences;
+every check reports the worst residual over the probe set next to its
+tolerance.  When the invariance checks pass, the velocity map must be linear
+(v = V p with V symmetric) and the energy must split additively into kinetic
+and stored parts; both facts are recovered and certified numerically by
+:func:`extract_representation`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .constitutive import (ConstitutiveModel, State, fd_derivative, fd_velocity_jacobian,
                            momentum_from_velocity)
 from .errors import FitDegenerate, NewtonDivergence, NotUnit, PreconditionFailure
-from .tensors import EYE3
+from .tensors import EYE3, det_cofactor
 from .tolerances import DEFAULT
 
 #: Failures mathematically implied by each targeted violation.  A Maxwell
@@ -57,40 +60,41 @@ NEGATIVE_CONTROL_EXPECTATIONS = {
 # Probe generation
 # ---------------------------------------------------------------------------
 
-def _uniform_ball(rng: np.random.Generator, radius: float) -> np.ndarray:
-    u = rng.normal(size=3)
-    u /= np.linalg.norm(u)
-    return radius * rng.random() ** (1.0 / 3.0) * u
+def _uniform_ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
+    u = rng.normal(size=(n, 3))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return radius * rng.random((n, 1)) ** (1.0 / 3.0) * u
 
 
-def _draw_F(rng: np.random.Generator, min_det: float = 0.3) -> np.ndarray:
-    # stays inside the neo-Hookean domain while exercising nonlinearity
-    while True:
-        F = EYE3 + 0.5 * rng.uniform(-1.0, 1.0, size=(3, 3))
-        if np.linalg.det(F) > min_det:
-            return F
+def _draw_F(rng: np.random.Generator, n: int, min_det: float = 0.3) -> np.ndarray:
+    # stays inside the neo-Hookean domain while exercising nonlinearity; whole
+    # blocks are drawn and the rows with det F > min_det kept, in order
+    F = np.empty((0, 3, 3))
+    while len(F) < n:
+        block = EYE3 + 0.5 * rng.uniform(-1.0, 1.0, size=(n, 3, 3))
+        F = np.concatenate([F, block[det_cofactor(block)[0] > min_det]])
+    return F[:n]
 
 
-def draw_states(n: int, rng: np.random.Generator) -> list[State]:
-    """Random probe states; the first is always (identity, zero momentum).
+def draw_states(n: int, rng: np.random.Generator) -> State:
+    """A stack of n random probe states; row 0 is always (identity, zero momentum).
 
     The zero-momentum anchor makes degenerate momentum jacobians at the
-    origin visible to the normality check; the others have |p| <= 3.
+    origin visible to the normality check; the others have det F > 0.3 and
+    |p| <= 3.
     """
-    probes = [State(EYE3.copy(), np.zeros(3))]
-    while len(probes) < n:
-        probes.append(State(_draw_F(rng), _uniform_ball(rng, 3.0)))
-    return probes
+    m = max(n - 1, 0)
+    F = np.concatenate([EYE3[None], _draw_F(rng, m)])
+    p = np.concatenate([np.zeros((1, 3)), _uniform_ball(rng, m, 3.0)])
+    return State(F[:n], p[:n])
 
 
 def draw_ellipticity_probes(n: int, rng: np.random.Generator):
-    """Random (F, v, a) triples with |v| <= 0.5 and unit direction vectors a."""
-    out = []
-    for _ in range(n):
-        a = rng.normal(size=3)
-        a /= np.linalg.norm(a)
-        out.append((_draw_F(rng), _uniform_ball(rng, 0.5), a))
-    return out
+    """Stacks (F[n, 3, 3], v[n, 3], a[n, 3]): det F > 0.3, |v| <= 0.5, unit directions a."""
+    F = _draw_F(rng, n)
+    v = _uniform_ball(rng, n, 0.5)
+    a = rng.normal(size=(n, 3))
+    return F, v, a / np.linalg.norm(a, axis=-1, keepdims=True)
 
 
 def default_shifts() -> list[np.ndarray]:
@@ -109,10 +113,6 @@ def default_shifts() -> list[np.ndarray]:
 # Finite-difference helpers
 # ---------------------------------------------------------------------------
 
-def _stack(probes: Sequence[State]) -> State:
-    return State(np.array([s.F for s in probes]), np.array([s.p for s in probes]))
-
-
 def fd_energy_gradients(model: ConstitutiveModel, s: State):
     """(d tau / dF, d tau / dp) by central differences, at one state or a stack."""
     return fd_derivative(model.energy, s, "F"), fd_derivative(model.energy, s, "p")
@@ -127,60 +127,60 @@ def stress_tilde(model: ConstitutiveModel, F, v, p_seed=None) -> np.ndarray:
 def ellipticity_tensor(model: ConstitutiveModel, F, v, a) -> np.ndarray:
     """E[..., i, h] = sum_{j,k} dS~_ij/dF_hk a_j a_k at fixed v.
 
-    Takes one triple or stacks F[..., 3, 3], v[..., 3], a[..., 3].  Each
-    F-perturbation re-inverts the velocity map, seeded with its probe's
-    momentum, so the derivative is taken along constant velocity, not
-    constant momentum.
+    Takes one triple or stacks F[..., 3, 3], v[..., 3], a[..., 3].  Column h
+    is one directional difference, E u = d/de [S~(F + e u (x) a, v) a] at
+    u = e_h: u rides in the momentum slot of :func:`fd_derivative`, so a
+    probe costs 6 perturbed states.  Each re-inverts the velocity map, seeded
+    with its probe's momentum, so the derivative is taken along constant
+    velocity, not constant momentum.
     """
     F, v, a = (np.asarray(x, dtype=float) for x in (F, v, a))
+    p = momentum_from_velocity(model, F, v)
 
-    def stress_at_velocity(t):  # t.p is the Newton seed: its probe's momentum
-        return stress_tilde(model, t.F, np.broadcast_to(v, t.p.shape), t.p)
+    def traction(t):  # t.p is u, the amplitude of the rank-one perturbation u (x) a
+        S = stress_tilde(model, t.F + t.p[..., :, None] * a[..., None, :],
+                         np.broadcast_to(v, t.p.shape), np.broadcast_to(p, t.p.shape))
+        return (S * a[..., None, :]).sum(-1)
 
-    dS = fd_derivative(stress_at_velocity, State(F, momentum_from_velocity(model, F, v)))
-    return np.einsum("...ijhk,...j,...k->...ih", dS, a, a)
+    return fd_derivative(traction, State(F, np.zeros(v.shape)), "p")
 
 
 # ---------------------------------------------------------------------------
 # The six checks
 # ---------------------------------------------------------------------------
 
-def check_normality(model: ConstitutiveModel, probes: Sequence[State]):
+def check_normality(model: ConstitutiveModel, probes: State):
     """Minimum |det N| over probes; passes when it stays above tolerance."""
-    if not probes:
+    if probes.p.size == 0:
         raise ValueError("probe set must be non-empty")
-    s = _stack(probes)
-    min_det = float(np.abs(np.linalg.det(fd_velocity_jacobian(model, s.F, s.p))).min())
+    min_det = float(np.abs(np.linalg.det(fd_velocity_jacobian(model, probes.F, probes.p))).min())
     return min_det > DEFAULT.normality_tol, min_det
 
 
 def check_ellipticity(model: ConstitutiveModel, probes):
-    """Minimum |det E(F, v; a)| over (F, v, a) probes."""
-    F, v, a = (np.array(x) for x in zip(*probes))
-    min_det = float(np.abs(np.linalg.det(ellipticity_tensor(model, F, v, a))).min())
+    """Minimum |det E(F, v; a)| over the probe stacks (F, v, a)."""
+    min_det = float(np.abs(np.linalg.det(ellipticity_tensor(model, *probes))).min())
     return min_det > DEFAULT.ellipticity_tol, min_det
 
 
-def check_thermo(model: ConstitutiveModel, probes: Sequence[State]):
+def check_thermo(model: ConstitutiveModel, probes: State):
     """Worst residuals of velocity = d tau/dp and stress = d tau/dF."""
-    s = _stack(probes)
-    gF, gp = fd_energy_gradients(model, s)
-    res_v = float(np.abs(gp - model.velocity(s)).max())
-    res_S = float(np.abs(gF - model.stress(s)).max())
+    gF, gp = fd_energy_gradients(model, probes)
+    res_v = float(np.abs(gp - model.velocity(probes)).max())
+    res_S = float(np.abs(gF - model.stress(probes)).max())
     tol = DEFAULT.thermo_tol
     return (res_v <= tol and res_S <= tol), (res_v, res_S)
 
 
-def check_maxwell(model: ConstitutiveModel, probes: Sequence[State]):
+def check_maxwell(model: ConstitutiveModel, probes: State):
     """Worst residual of dS_ij/dp_h = dv_h/dF_ij over probes."""
-    s = _stack(probes)
-    dSdp = fd_derivative(model.stress, s, "p")
-    dvdF = np.moveaxis(fd_derivative(model.velocity, s, "F"), -3, -1)
+    dSdp = fd_derivative(model.stress, probes, "p")
+    dvdF = np.moveaxis(fd_derivative(model.velocity, probes, "F"), -3, -1)
     worst = float(np.abs(dSdp - dvdF).max())
     return worst <= DEFAULT.maxwell_tol, worst
 
 
-def check_galilean(model: ConstitutiveModel, probes: Sequence[State],
+def check_galilean(model: ConstitutiveModel, probes: State,
                    shifts: Sequence[np.ndarray] | None = None):
     """Spread of the velocity shift defect across probes.
 
@@ -189,17 +189,15 @@ def check_galilean(model: ConstitutiveModel, probes: Sequence[State],
     spread (max - min across probes), maximized over shifts.
     """
     d = np.reshape(default_shifts() if shifts is None else shifts, (-1, 1, 3))
-    s = _stack(probes)
-    shifted = State(np.broadcast_to(s.F, d.shape[:1] + s.F.shape), s.p + d)
-    diffs = model.velocity(shifted) - model.velocity(s)  # [shift, probe, component]
+    shifted = State(np.broadcast_to(probes.F, d.shape[:1] + probes.F.shape), probes.p + d)
+    diffs = model.velocity(shifted) - model.velocity(probes)  # [shift, probe, component]
     deviation = float((diffs.max(axis=1) - diffs.min(axis=1)).max(initial=0.0))
     return deviation <= DEFAULT.galilean_tol, deviation
 
 
-def check_parity(model: ConstitutiveModel, probes: Sequence[State]):
+def check_parity(model: ConstitutiveModel, probes: State):
     """Worst asymmetry |tau(F, p) - tau(F, -p)| over probes."""
-    s = _stack(probes)
-    asym = float(np.abs(model.energy(s) - model.energy(State(s.F, -s.p))).max())
+    asym = float(np.abs(model.energy(probes) - model.energy(State(probes.F, -probes.p))).max())
     return asym <= DEFAULT.parity_tol, asym
 
 
@@ -321,7 +319,7 @@ def full_report(model: ConstitutiveModel, n_probes: int = 100,
     )
     if report.passed:
         try:
-            report.representation = _fit_representation(model, _stack(probes))
+            report.representation = _fit_representation(model, probes)
         except FitDegenerate as exc:
             notes["representation"] = str(exc)
     return report
@@ -350,7 +348,7 @@ class RepresentationResult:
 
 
 def extract_representation(model: ConstitutiveModel,
-                           probes: Sequence[State]) -> RepresentationResult:
+                           probes: State) -> RepresentationResult:
     """Fit v = V p at a reference F and certify the additive energy split.
 
     Preconditions: the model must pass the normality, galilean-variance and
@@ -363,7 +361,7 @@ def extract_representation(model: ConstitutiveModel,
     if failed:
         raise PreconditionFailure(
             "representation preconditions violated: " + ", ".join(failed))
-    return _fit_representation(model, _stack(probes))
+    return _fit_representation(model, probes)
 
 
 def _fit_representation(model: ConstitutiveModel, s: State) -> RepresentationResult:

@@ -8,8 +8,10 @@ from elastocons import (State, check_ellipticity,
                         extract_representation, find_dissipation_violation,
                         full_report, initial_rate_check, linear_isotropic,
                         neo_hookean, outer, pointwise_model, st_venant_kirchhoff,
-                        tensor_mass_model)
-from elastocons.admissibility import NEGATIVE_CONTROL_EXPECTATIONS, default_shifts
+                        stored_energy_registry, tensor_mass_model)
+from elastocons.admissibility import (NEGATIVE_CONTROL_EXPECTATIONS, default_shifts,
+                                      ellipticity_tensor)
+from elastocons.constitutive import elasticity_map
 from elastocons.errors import FitDegenerate, PreconditionFailure
 
 LAM, MU = 2.0, 1.0
@@ -18,6 +20,29 @@ SEED = 20260810
 
 def _probes(n=30, seed=SEED):
     return draw_states(n, np.random.default_rng(seed))
+
+
+def test_draws_are_stacks_inside_their_bounds():
+    s = draw_states(50, np.random.default_rng(SEED))
+    assert s.F.shape == (50, 3, 3) and s.p.shape == (50, 3)
+    assert np.array_equal(s.F[0], np.eye(3)) and np.array_equal(s.p[0], np.zeros(3))
+    F, v, a = draw_ellipticity_probes(50, np.random.default_rng(SEED))
+    assert F.shape == (50, 3, 3) and v.shape == a.shape == (50, 3)
+    assert np.linalg.det(np.concatenate([s.F, F])).min() > 0.3
+    assert np.linalg.norm(s.p, axis=-1).max() <= 3.0
+    assert np.linalg.norm(v, axis=-1).max() <= 0.5
+    assert np.abs(np.linalg.norm(a, axis=-1) - 1.0).max() <= 1e-12
+
+
+def test_draws_repeat_bit_for_bit_and_one_state_is_the_anchor():
+    s, t = (draw_states(40, np.random.default_rng(SEED)) for _ in range(2))
+    assert np.array_equal(s.F, t.F) and np.array_equal(s.p, t.p)
+    for x, y in zip(*(draw_ellipticity_probes(40, np.random.default_rng(SEED))
+                      for _ in range(2))):
+        assert np.array_equal(x, y)
+    anchor = draw_states(1, np.random.default_rng(SEED))
+    assert np.array_equal(anchor.F, np.eye(3)[None])
+    assert np.array_equal(anchor.p, np.zeros((1, 3)))
 
 
 def test_normality_classical_hand_jacobian():
@@ -45,7 +70,6 @@ def test_normality_cubic_velocity_fails_at_origin():
 def test_ellipticity_isotropic_closed_form():
     # E = (lam + mu) a (x) a + mu 1 for the linear isotropic model,
     # det E = (lam + 2 mu) mu^2 independent of the unit vector a
-    from elastocons.admissibility import ellipticity_tensor
     m = classical_model(1.0, linear_isotropic(LAM, MU))
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -57,6 +81,27 @@ def test_ellipticity_isotropic_closed_form():
         expected = (LAM + MU) * outer(a, a) + MU * np.eye(3)
         assert np.abs(E - expected).max() <= 1e-7
         assert np.linalg.det(E) == pytest.approx((LAM + 2 * MU) * MU ** 2, abs=1e-7)
+
+
+def test_directional_ellipticity_tensor_matches_the_contracted_S4():
+    # representation models have S~(F, v) = S(F), so E is S4 contracted with a (x) a
+    models = [classical_model(1.5, se) for se in stored_energy_registry(LAM, MU)]
+    models.append(tensor_mass_model(np.diag([0.5, 1.25, 2.0]), neo_hookean(LAM, MU)))
+    F, v, a = draw_ellipticity_probes(100, np.random.default_rng(SEED))
+    for m in models:
+        expected = np.einsum("nijhk,nj,nk->nih", elasticity_map(m)(F), a, a)
+        error = np.abs(ellipticity_tensor(m, F, v, a) - expected).max((1, 2))
+        assert (error <= 1e-7 * np.abs(expected).max((1, 2))).all(), m.name
+
+
+def test_one_probe_ellipticity_tensor_is_its_row_of_the_stack():
+    F, v, a = draw_ellipticity_probes(6, np.random.default_rng(SEED))
+    for m in (classical_model(1.5, neo_hookean(LAM, MU)),
+              tensor_mass_model(np.diag([0.5, 1.25, 2.0]), st_venant_kirchhoff(LAM, MU)),
+              corrupted_model("galilean")):
+        E = ellipticity_tensor(m, F, v, a)
+        for i in range(len(a)):
+            np.testing.assert_array_equal(ellipticity_tensor(m, F[i], v[i], a[i]), E[i])
 
 
 def test_ellipticity_degenerate_energy_fails():
@@ -83,7 +128,7 @@ def test_thermo_scaled_stress_residual_scaling():
     ok, (rv, rS) = check_thermo(m, probes)
     assert not ok
     base = linear_isotropic(LAM, MU).analytic_stress
-    expected = max(0.1 * np.abs(base(s.F)).max() for s in probes)
+    expected = 0.1 * np.abs(base(probes.F)).max()
     assert rS == pytest.approx(expected, rel=1e-3)
     assert rv <= 1e-6
 
@@ -147,13 +192,13 @@ def test_parity_odd_term_asymmetry_oracle():
     probes = _probes()
     ok, asym = check_parity(m, probes)
     assert not ok
-    expected = max(2.0 * abs(s.p[0]) for s in probes)
+    expected = 2.0 * np.abs(probes.p[:, 0]).max()
     assert asym == pytest.approx(expected, rel=1e-12)
 
 
 def test_parity_zero_momentum_probes_blind():
     m = corrupted_model("parity")
-    probes = [State(np.eye(3), np.zeros(3))]
+    probes = State(np.eye(3)[None], np.zeros((1, 3)))
     ok, asym = check_parity(m, probes)
     assert ok and asym == 0.0
 
@@ -253,8 +298,8 @@ def test_representation_degenerate_momenta():
     m = classical_model(1.0, linear_isotropic(LAM, MU))
     rng = np.random.default_rng(12)
     # momenta confined to a plane cannot identify the full tensor
-    probes = [State(np.eye(3), np.array([rng.normal(), rng.normal(), 0.0]))
-              for _ in range(20)]
+    probes = State(np.broadcast_to(np.eye(3), (20, 3, 3)),
+                   np.pad(rng.normal(size=(20, 2)), ((0, 0), (0, 1))))
     with pytest.raises(FitDegenerate):
         extract_representation(m, probes)
 
@@ -263,7 +308,8 @@ def test_dissipation_violation_witness():
     # any model with a visible gradient defect admits rates that break the
     # dissipation inequality; verify with an independent directional derivative
     m = corrupted_model("thermo")
-    probe = _probes(10)[3]
+    probes = _probes(10)
+    probe = State(probes.F[3], probes.p[3])
     F_rate, p_rate, amount = find_dissipation_violation(m, probe)
     assert amount > 0.01
     eps = 1e-6
@@ -288,7 +334,6 @@ def test_initial_rates_momentum_independent_stress():
 
 
 def test_initial_rates_reduce_to_acoustic_action():
-    from elastocons.admissibility import ellipticity_tensor
     m = tensor_mass_model(np.diag([1.0, 2.0, 0.5]), st_venant_kirchhoff(LAM, MU))
     rng = np.random.default_rng(14)
     A = np.eye(3) + 0.1 * rng.uniform(-1, 1, size=(3, 3))
@@ -303,7 +348,6 @@ def test_initial_rates_reduce_to_acoustic_action():
 
 
 def test_initial_rates_surjective_in_b():
-    from elastocons.admissibility import ellipticity_tensor
     m = classical_model(1.3, neo_hookean(LAM, MU))
     rng = np.random.default_rng(15)
     A = np.eye(3) + 0.1 * rng.uniform(-1, 1, size=(3, 3))

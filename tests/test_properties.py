@@ -9,10 +9,11 @@ from hypothesis.extra.numpy import arrays
 
 from elastocons import (Field, Grid, State, acoustic_spectrum, baseline_directions,
                         classical_model, corrupted_model, eigenstructure, elasticity_map,
-                        fd_derivative, fibonacci_sphere, flux_jacobian,
+                        fd_derivative, fibonacci_sphere, flux_jacobian, linear_isotropic,
                         momentum_from_velocity, neo_hookean, pointwise_model,
-                        scan_directions, st_venant_kirchhoff, step_lax_friedrichs, stored_energy_registry, tensor_mass_model,
-                        total_deformation, total_momentum)
+                        scan_directions, st_venant_kirchhoff, step_lax_friedrichs,
+                        stored_energy_registry, tensor_mass_model, total_deformation,
+                        total_energy, total_momentum)
 from elastocons.constitutive import CORRUPTION_KINDS
 from elastocons.errors import NonHyperbolicState
 from elastocons.hyperbolicity import velocity_coefficient_root
@@ -168,6 +169,18 @@ def test_one_step_conserves_total_deformation_and_momentum(m, dims, seed):
     for total, scale in ((total_deformation, np.abs(F).sum()), (total_momentum, np.abs(p).sum())):
         drift = np.abs(total(out) - total(fld)).max()
         assert drift <= 1e-14 * grid.cell_volume * scale
+
+
+@PROPERTY
+@given(st.sampled_from([1, 3]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False), _entries(0.5, 3.0))
+def test_one_step_never_raises_the_energy_of_a_convex_model(dims, seed, cfl, rho):
+    # the total energy is the scheme's entropy: for the convex linear isotropic
+    # energy a Rusanov step at cfl <= 1 may lower it, never raise it beyond roundoff
+    m = classical_model(rho, linear_isotropic(LAM, MU))
+    fld = _random_field(dims, seed)
+    e0 = total_energy(m, fld)
+    assert total_energy(m, step_lax_friedrichs(m, fld, cfl)) - e0 <= 1e-13 * e0
 
 
 def test_a_random_field_off_the_hyperbolic_region_is_refused():
