@@ -32,7 +32,7 @@ from .admissibility import (AdmissibilityReport, RepresentationResult,
                             draw_ellipticity_probes, draw_states,
                             extract_representation, find_dissipation_violation,
                             full_report, initial_rate_check)
-from .hyperbolicity import (AcousticTensor, HyperbolicityReport,
+from .hyperbolicity import (AcousticTensor, HyperbolicityReport, acoustic_map,
                             acoustic_spectrum, acoustic_tensor, baseline_directions,
                             eigenstructure, ellipticity_loss_bisection,
                             fibonacci_sphere, flux_jacobian,

@@ -8,7 +8,7 @@ maps
     velocity (F, p) -> v          boundary flux of F
     stress   (F, p) -> S          Piola stress, boundary flux of p
 
-together with an optional analytic elasticity tensor dS/dF.  Every map takes
+together with optional analytic maps dS/dF and E(w) = (dS/dF)[., w, ., w].  Every map takes
 stacks of states F[..., 3, 3], p[..., 3] and returns one value per state;
 :func:`pointwise_model` loops callables written for one state at a time.
 Builders are provided for the two standard representations
@@ -58,13 +58,14 @@ class State:
 class StoredEnergy:
     """Stored energy sigma(F) with optional analytic derivatives.
 
-    sigma takes stacks F[..., 3, 3]; when both derivatives are given, they do too.
+    sigma and the derivatives take stacks F[..., 3, 3], analytic_acoustic also w[d, 3].
     """
 
     name: str
     sigma: Callable[[np.ndarray], np.ndarray]
     analytic_stress: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_elasticity: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    analytic_acoustic: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     parameters: Mapping[str, float] = field(default_factory=dict)
 
 
@@ -72,10 +73,10 @@ class StoredEnergy:
 class ConstitutiveModel:
     """Black-box triple (energy, velocity, stress) on stacks of states (F, p).
 
-    For states with leading shape L, energy returns L, velocity L + (3,),
-    stress L + (3, 3) and analytic_S4 (of F) L + (3, 3, 3, 3).  Construction
-    evaluates each map once on a two-state stack and raises
-    PreconditionFailure, naming the map, if it raises or returns another shape.
+    For states with leading shape L, energy returns L, velocity L + (3,), stress L + (3, 3),
+    analytic_S4 (of F) L + (3, 3, 3, 3) and analytic_acoustic (of F, w[d, 3]) L + (d, 3, 3).
+    Construction evaluates each map once on a two-state stack (and one direction) and
+    raises PreconditionFailure, naming the map, if it raises or returns another shape.
     """
 
     name: str
@@ -83,17 +84,19 @@ class ConstitutiveModel:
     velocity: Callable[[State], np.ndarray]
     stress: Callable[[State], np.ndarray]
     analytic_S4: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    analytic_acoustic: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         s = State(np.tile(EYE3, (2, 1, 1)), np.zeros((2, 3)))
-        maps = [("energy", self.energy, s, ()), ("velocity", self.velocity, s, (3,)),
-                ("stress", self.stress, s, (3, 3)),
-                ("analytic_S4", self.analytic_S4, s.F, (3, 3, 3, 3))]
-        for name, fn, arg, shape in maps:
+        maps = [("energy", self.energy, (s,), ()), ("velocity", self.velocity, (s,), (3,)),
+                ("stress", self.stress, (s,), (3, 3)),
+                ("analytic_S4", self.analytic_S4, (s.F,), (3, 3, 3, 3)),
+                ("analytic_acoustic", self.analytic_acoustic, (s.F, EYE3[:1]), (1, 3, 3))]
+        for name, fn, args, shape in maps:
             if fn is None:
                 continue
             try:
-                got = np.shape(fn(arg))
+                got = np.shape(fn(*args))
             except Exception as exc:
                 raise PreconditionFailure(
                     f"model {self.name}: {name} fails on a stack of two states ({exc!r})") from exc
@@ -132,6 +135,9 @@ def linear_isotropic(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         sigma=sigma,
         analytic_stress=stress,
         analytic_elasticity=lambda F: np.broadcast_to(S4, np.shape(F)[:-2] + S4.shape),
+        analytic_acoustic=lambda F, w: np.broadcast_to(  # mu |w|^2 I + (lam + mu) w (x) w
+            mu * (w * w).sum(-1)[:, None, None] * EYE3 + (lam + mu) * w[:, :, None] * w[:, None, :],
+            np.shape(F)[:-2] + (len(w), 3, 3)),
         parameters={"lambda": lam, "mu": mu},
     )
 
@@ -165,11 +171,18 @@ def st_venant_kirchhoff(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         S4 += mu * np.einsum("...ih,jk->...ijhk", FFt, EYE3)
         return S4
 
+    def acoustic(F, w):  # (w . S~ w) I + (lam + mu) Fw (x) Fw + mu |w|^2 F F^T, S~ = second_piola
+        Fw = w @ F.swapaxes(-1, -2)  # [..., d, i] = (F w_d)_i
+        wSw = ((w @ second_piola(green(F))) * w).sum(-1)
+        E = wSw[..., None, None] * EYE3 + (lam + mu) * Fw[..., :, None] * Fw[..., None, :]
+        return E + mu * (w * w).sum(-1)[:, None, None] * (F @ F.swapaxes(-1, -2))[..., None, :, :]
+
     return StoredEnergy(
         name="stvk",
         sigma=sigma,
         analytic_stress=stress,
         analytic_elasticity=elasticity,
+        analytic_acoustic=acoustic,
         parameters={"lambda": lam, "mu": mu},
     )
 
@@ -212,11 +225,18 @@ def neo_hookean(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         S4 -= c[..., :, None, None, :] * Finv[..., None, :, :, None]  # c_ik Finv_jh
         return S4
 
+    def acoustic(F, w):  # mu |w|^2 I + (lam + mu - lam ln J) g (x) g, g = F^-T w
+        lnJ, FinvT = _log_det_inv_t(F)
+        g = w @ FinvT.swapaxes(-1, -2)  # [..., d, i] = (F^-T w_d)_i
+        E = (lam + mu - lam * lnJ)[..., None, None, None] * g[..., :, None] * g[..., None, :]
+        return E + mu * (w * w).sum(-1)[:, None, None] * EYE3
+
     return StoredEnergy(
         name="neo_hookean",
         sigma=sigma,
         analytic_stress=stress,
         analytic_elasticity=elasticity,
+        analytic_acoustic=acoustic,
         parameters={"lambda": lam, "mu": mu},
     )
 
@@ -344,6 +364,7 @@ def classical_model(rho: float, se: StoredEnergy) -> ConstitutiveModel:
         velocity=lambda s: s.p / rho,
         stress=lambda s: stress(s.F),
         analytic_S4=elasticity_map(se),
+        analytic_acoustic=se.analytic_acoustic,
     )
 
 
@@ -365,6 +386,7 @@ def tensor_mass_model(V, se: StoredEnergy) -> ConstitutiveModel:
         velocity=lambda s: s.p @ VmT,
         stress=lambda s: stress(s.F),
         analytic_S4=elasticity_map(se),
+        analytic_acoustic=se.analytic_acoustic,
     )
 
 
@@ -373,7 +395,7 @@ def pointwise_model(name: str, energy, velocity, stress, analytic_S4=None) -> Co
 
     Each callable is looped over the states of a stack: the package's only
     per-state Python loop.  Without ``analytic_S4``, :func:`elasticity_map`
-    differences the looped stress.
+    differences the looped stress; the model has no ``analytic_acoustic``.
     """
     def each(fn, shape, of_states=True):
         def call(x):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constitutive import elasticity_map
 from .errors import NonHyperbolicState, NotUnit
 from .tensors import EYE3, eig_general, eig_sym, sym_part
 from .tolerances import DEFAULT
@@ -56,23 +57,35 @@ def velocity_coefficient_root(V) -> np.ndarray:
     return (evecs * np.sqrt(evals)) @ evecs.T
 
 
-def acoustic_spectrum(S4, w, vroot=None, vectors: bool = False):
+def _contraction(w):
+    """The map S4[..., 3, 3, 3, 3] -> E(w), shaped S4.shape[:-4] + w.shape[:-1] + (3, 3)."""
+    w2 = np.reshape(w, (-1, 3)).astype(float)
+    # K[j, h, k, d, b] = w_dj delta_hb w_dk: one matrix product with the rows
+    # S4[..., a, (j, h, k)] gives every E(w_d)[a, b], exactly for basis w_d
+    K = np.einsum("dj,hb,dk->jhkdb", w2, EYE3, w2).reshape(27, -1)
+
+    def contract(S4):
+        lead = np.shape(S4)[:-4]
+        E = (np.asarray(S4, dtype=float).reshape(-1, 27) @ K).reshape(lead + (3, len(w2), 3))
+        return E.swapaxes(-3, -2).reshape(lead + np.shape(w)[:-1] + (3, 3))
+    return contract
+
+
+def acoustic_map(model, w):
+    """F -> E(w_d)[..., d, 3, 3] for directions w[d, 3]: analytic_acoustic, or S4 w w."""
+    if model.analytic_acoustic is not None:
+        return lambda F: model.analytic_acoustic(F, w)
+    S4_of, contract = elasticity_map(model), _contraction(w)
+    return lambda F: contract(S4_of(F))
+
+
+def acoustic_spectrum(S4, w, vectors: bool = False):
     """E(w) of every S4[..., 3, 3, 3, 3] along every direction w[..., 3], and its spectrum.
 
     Returns E, shaped S4.shape[:-4] + w.shape[:-1] + (3, 3), and the
     descending :func:`eig_sym` spectrum (with eigenvectors if ``vectors``).
-    Given the root ``vroot`` of a velocity coefficient V, E is replaced by
-    V^(1/2) E V^(1/2), whose eigenvalues are the squared speeds eig(V E).
     """
-    w = np.asarray(w, dtype=float)
-    lead, w2 = np.shape(S4)[:-4], w.reshape(-1, 3)
-    # K[j, h, k, d, b] = w_dj delta_hb w_dk: one matrix product with the rows
-    # S4[..., a, (j, h, k)] gives every E(w_d)[a, b], exactly for basis w_d
-    K = np.einsum("dj,hb,dk->jhkdb", w2, EYE3, w2).reshape(27, -1)
-    E = (np.asarray(S4, dtype=float).reshape(-1, 27) @ K).reshape(lead + (3, len(w2), 3))
-    E = E.swapaxes(-3, -2).reshape(lead + w.shape[:-1] + (3, 3))
-    if vroot is not None:
-        E = vroot @ E @ vroot
+    E = _contraction(w)(S4)
     return E, eig_sym(E, vectors=vectors)
 
 

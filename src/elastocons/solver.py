@@ -19,15 +19,15 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .constitutive import (ConstitutiveModel, State, elasticity_map, fd_velocity_jacobian,
+from .constitutive import (ConstitutiveModel, State, fd_velocity_jacobian,
                            momentum_from_velocity)
 from .errors import Blowup, NonHyperbolicState, PreconditionFailure
-from .hyperbolicity import acoustic_spectrum, velocity_coefficient_root
-from .tensors import EYE3, outer
+from .hyperbolicity import acoustic_map, velocity_coefficient_root
+from .tensors import EYE3, eig_sym, outer
 from .tolerances import DEFAULT
 
 BLOWUP_NORM = 1e12
-CELL_BLOCK = 128  # cells per S4 evaluation: a (128, 3, 3, 3, 3) stack is 83 kB
+CELL_BLOCK = 512  # cells per E(e_a) evaluation: 3-D E is 110 kB, a fallback S4 332 kB
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +139,17 @@ def _velocity_coefficient_root(model: ConstitutiveModel, F, p) -> np.ndarray:
 def _cell_speeds(model: ConstitutiveModel, fld: Field, vroot: np.ndarray) -> np.ndarray:
     """Max characteristic speed per cell and active axis, shape cells + (dims,).
 
-    Speeds come from the spectrum of V^(1/2) E(e_a) V^(1/2), CELL_BLOCK cells
-    at a time; a negative acoustic eigenvalue beyond roundoff means the state
-    left the hyperbolic region and stepping is refused.
+    Speeds come from the spectrum of V^(1/2) E(e_a) V^(1/2), with E(e_a) from
+    :func:`acoustic_map` for CELL_BLOCK cells at a time; a negative acoustic eigenvalue
+    beyond roundoff means the state left the hyperbolic region and stepping is refused.
     """
     g = fld.grid
     F = fld.F.reshape(-1, 3, 3)
-    S4_of = elasticity_map(model)
+    E_of = acoustic_map(model, EYE3[:g.dims])
     eigs = np.empty((len(F), g.dims, 3))  # descending, per cell and axis
     for start in range(0, len(F), CELL_BLOCK):
         block = slice(start, start + CELL_BLOCK)
-        eigs[block] = acoustic_spectrum(S4_of(F[block]), EYE3[:g.dims], vroot)[1]
+        eigs[block] = eig_sym(vroot @ E_of(F[block]) @ vroot, vectors=False)
     lo, hi = eigs[..., -1], eigs[..., 0]
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)).max(axis=0))
     bad = np.flatnonzero(lo.min(axis=0) < -1e-10 * scale)
@@ -354,7 +354,7 @@ def plane_wave_speed(model: ConstitutiveModel, F0, w, d) -> float:
     """Characteristic speed of the acoustic mode closest to polarization d."""
     F0 = np.asarray(F0, dtype=float)
     vroot = _velocity_coefficient_root(model, F0, np.zeros(3))
-    _, (evals, evecs) = acoustic_spectrum(elasticity_map(model)(F0), w, vroot, vectors=True)
+    evals, evecs = eig_sym(vroot @ acoustic_map(model, np.reshape(w, (1, 3)))(F0)[0] @ vroot)
     if float(evals.min()) < 0.0:
         raise NonHyperbolicState("no real wave speed: acoustic tensor indefinite")
     pick = int(np.argmax(np.abs(evecs.T @ np.asarray(d, dtype=float))))

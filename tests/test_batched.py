@@ -97,6 +97,12 @@ def test_the_stack_contract_is_checked_at_construction():
         ConstitutiveModel(name="one_S4", energy=lambda s: 0.5 * (s.p * s.p).sum(-1),
                           velocity=lambda s: s.p, stress=lambda s: stress(s.F),
                           analytic_S4=lambda F: se.analytic_elasticity(np.eye(3)))
+    # one acoustic tensor per state, not one per state and direction
+    with pytest.raises(PreconditionFailure, match="analytic_acoustic"):
+        ConstitutiveModel(name="no_direction_axis", energy=lambda s: 0.5 * (s.p * s.p).sum(-1),
+                          velocity=lambda s: s.p, stress=lambda s: stress(s.F),
+                          analytic_acoustic=lambda F, w: se.analytic_acoustic(F, w)[..., 0, :, :])
+    assert _pointwise_only(classical_model(1.0, se)).analytic_acoustic is None
 
 
 def test_run_through_adapter_matches_batched_model():

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from elastocons import (Field, Grid, State, acoustic_spectrum, baseline_directions,
-                        classical_model, corrupted_model, eigenstructure, elasticity_map,
-                        fd_derivative, fibonacci_sphere, flux_jacobian, linear_isotropic,
-                        momentum_from_velocity, neo_hookean, pointwise_model,
-                        scan_directions, st_venant_kirchhoff, step_lax_friedrichs,
-                        stored_energy_registry, tensor_mass_model, total_deformation,
-                        total_energy, total_momentum)
+                        classical_model, corrupted_model, eig_sym, eigenstructure,
+                        elasticity_map, fd_derivative, fibonacci_sphere, flux_jacobian,
+                        linear_isotropic, momentum_from_velocity, neo_hookean,
+                        pointwise_model, scan_directions, st_venant_kirchhoff,
+                        step_lax_friedrichs, stored_energy_by_name, stored_energy_registry,
+                        tensor_mass_model, total_deformation, total_energy, total_momentum)
 from elastocons.constitutive import CORRUPTION_KINDS
 from elastocons.errors import NonHyperbolicState
 from elastocons.hyperbolicity import velocity_coefficient_root
@@ -113,6 +113,25 @@ def test_elasticity_major_symmetry_and_symmetric_acoustic_tensor(se, F, w):
 
 
 @PROPERTY
+@given(st.sampled_from(["linear_isotropic", "stvk", "neo_hookean"]), _entries(0.1, 5.0),
+       _entries(0.1, 5.0), _entries(0.5, 2.0),
+       arrays(float, (3, 3, 3), elements=_entries(-0.6, 0.6)),
+       arrays(float, (4, 3), elements=_entries(-1.0, 1.0)).filter(
+           lambda w: np.linalg.norm(w, axis=-1).min() > 0.1))
+def test_analytic_acoustic_tensor_is_the_contracted_elasticity(name, lam, mu, s, D, w):
+    # lam and mu are drawn apart: at (2, 1) a slip such as 3 mu for lam + mu would pass
+    se = stored_energy_by_name(name, lam, mu)
+    F = s * (np.eye(3) + D)
+    assume(np.linalg.det(F).min() > 0.3)
+    # E(w) is quadratic in w: directions of any length keep the |w|^2 factors visible
+    E = se.analytic_acoustic(F, w)
+    ref = np.einsum("...ijhk,dj,dk->...dih", se.analytic_elasticity(F), w, w)
+    assert E.shape == ref.shape == (3, 4, 3, 3)
+    scale = np.maximum(1.0, np.abs(ref).max((-2, -1), keepdims=True))
+    assert (np.abs(E - ref) <= 1e-12 * scale).all()
+
+
+@PROPERTY
 @given(st.sampled_from(stored_energy_registry(LAM, MU)),
        arrays(float, (3, 3), elements=_entries(-0.3, 0.3)),
        st.one_of(_entries(0.1, 10.0),
@@ -132,7 +151,8 @@ def test_scan_classification_matches_the_dense_jacobian(se, D, V, A, n_dirs):
     # where eig(V^1/2 E V^1/2) is singular to roundoff, the dense count of
     # independent eigenvectors is decided by that roundoff, so those
     # directions have no reference to compare against
-    mu = acoustic_spectrum(S4, dirs, vroot=velocity_coefficient_root(V))[1]
+    vroot = velocity_coefficient_root(V)
+    mu = eig_sym(vroot @ acoustic_spectrum(S4, dirs)[0] @ vroot, vectors=False)
     keep = np.abs(mu).min(axis=-1) > 1e-6 * np.maximum(1.0, np.abs(mu).max(axis=-1))
     assume(keep.any())
     for r, zm, ic, k in zip(report.records, es.zero_multiplicity, es.independent_count, keep):

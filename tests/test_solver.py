@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from field_fixtures import gradient_field_3d
@@ -11,6 +13,7 @@ from elastocons import (Field, Grid, State, affine_initial_field,
                         tensor_mass_model, total_deformation, total_energy,
                         total_momentum, uniform_field)
 from elastocons.errors import Blowup, NonHyperbolicState, PreconditionFailure
+from elastocons.solver import CELL_BLOCK, _cell_speeds, _velocity_coefficient_root
 
 LAM, MU = 2.0, 1.0
 
@@ -257,6 +260,35 @@ def test_3d_time_step_with_coupled_velocity_coefficient():
                     for c in np.ndindex(*fld.grid.cells))
         denom += c_max / fld.grid.h[ax]
     assert step_lax_friedrichs(m, fld, cfl).t == pytest.approx(cfl / denom, rel=1e-9)
+
+
+@pytest.mark.parametrize("build", [lambda se: classical_model(1.5, se),
+                                   lambda se: tensor_mass_model(V_COUPLED, se)],
+                         ids=["classical", "tensor_mass"])
+def test_closed_form_and_contracted_S4_give_the_same_speeds_and_step(build):
+    # the two paths of acoustic_map on a random 3-D field of more than one CELL_BLOCK
+    m = build(neo_hookean(LAM, MU))
+    fallback = dataclasses.replace(m, analytic_acoustic=None)
+    rng = np.random.default_rng(13)
+    grid = Grid.box(9)
+    assert np.prod(grid.cells) > CELL_BLOCK
+    fld = Field(grid=grid, F=np.eye(3) + rng.uniform(-0.15, 0.15, grid.cells + (3, 3)),
+                p=rng.uniform(-0.5, 0.5, grid.cells + (3,)))
+    vroot = _velocity_coefficient_root(m, fld.F, fld.p)
+    c, c_ref = _cell_speeds(m, fld, vroot), _cell_speeds(fallback, fld, vroot)
+    assert np.abs(c - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
+    dt, dt_ref = (step_lax_friedrichs(x, fld, 0.9).t for x in (m, fallback))
+    assert dt == pytest.approx(dt_ref, rel=1e-12, abs=0.0)
+
+
+def test_registry_wave_speeds_assemble_no_S4():
+    m = classical_model(1.0, neo_hookean(LAM, MU))
+    calls = []
+    spy = dataclasses.replace(
+        m, analytic_S4=lambda F: calls.append(np.shape(F)) or m.analytic_S4(F))
+    calls.clear()  # the construction check
+    run(spy, sine_wave_field(spy, Grid.line(16), "longitudinal", 0.01), t_end=0.02, cfl=0.5)
+    assert calls == []
 
 
 def test_tensor_mass_1d_wave_speeds():
