@@ -10,14 +10,13 @@ elliptic.
 
 import numpy as np
 
-from elastocons import (eigenstructure, elasticity_map,
-                        ellipticity_loss_bisection, flux_jacobian,
+from elastocons import (eigenstructure, ellipticity_loss_bisection, flux_jacobian,
                         linear_isotropic, scan_directions, st_venant_kirchhoff)
 
 np.set_printoptions(precision=4, suppress=True)
 
 iso = linear_isotropic(lam=2.0, mu=1.0)
-report = scan_directions(elasticity_map(iso), np.eye(3), 1.0, n_dirs=128)
+report = scan_directions(iso.analytic_elasticity, np.eye(3), 1.0, n_dirs=128)
 print("isotropic model, 128 + 26 directions:")
 print("  strongly elliptic:", report.strongly_elliptic)
 print("  min acoustic eigenvalue:", report.min_eigenvalue)
@@ -35,11 +34,11 @@ print("  nonzero eigenvalues:", lams, " (three +- speed pairs)")
 print("  independent propagating modes:", es.independent_count)
 
 stvk = st_venant_kirchhoff(lam=2.0, mu=1.0)
-s_star = ellipticity_loss_bisection(elasticity_map(stvk), 0.3, 1.0, n_dirs=64)
+s_star = ellipticity_loss_bisection(stvk.analytic_elasticity, 0.3, 1.0, n_dirs=64)
 print("\nSt. Venant-Kirchhoff under uniform compression F = s * 1:")
 print(f"  strong ellipticity lost below s* = {s_star:.6f}")
 for s in (0.95, s_star + 0.02, s_star - 0.02, 0.4):
-    rep = scan_directions(elasticity_map(stvk), s * np.eye(3), 1.0, n_dirs=64)
+    rep = scan_directions(stvk.analytic_elasticity, s * np.eye(3), 1.0, n_dirs=64)
     print(f"  s = {s:.3f}: min eigenvalue {rep.min_eigenvalue:+.4f} "
           f"({'elliptic' if rep.strongly_elliptic else 'NOT elliptic'})")
 
@@ -49,7 +48,7 @@ try:
     import matplotlib.pyplot as plt
 
     ss = np.linspace(0.3, 1.0, 60)
-    mins = [scan_directions(elasticity_map(stvk), s * np.eye(3), 1.0,
+    mins = [scan_directions(stvk.analytic_elasticity, s * np.eye(3), 1.0,
                             n_dirs=32).min_eigenvalue for s in ss]
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.plot(ss, mins, lw=2)

@@ -17,7 +17,7 @@ package provides
 
 __version__ = "0.1.0"
 
-from .tensors import apply4, det_cofactor, eig_general, eig_sym, outer
+from .tensors import det_cofactor, eig_general, eig_sym, outer
 from .constitutive import (ConstitutiveModel, State,
                            StoredEnergy, classical_model,
                            corrupted_model, elasticity_map, fd_derivative,

@@ -25,7 +25,7 @@ and stored parts; both facts are recovered and certified numerically by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -334,8 +334,7 @@ class RepresentationResult:
     """Certified linear velocity representation and energy split.
 
     V_fit is the least-squares coefficient of the velocity map; M_fit its
-    inverse (the recovered mass-density tensor); sigma_fit evaluates the
-    stored-energy part tau(F, 0).
+    inverse (the recovered mass-density tensor).
     """
 
     V_fit: np.ndarray
@@ -344,7 +343,6 @@ class RepresentationResult:
     linearity_residual: float
     split_residual: float
     split_pass: bool  # the split is certified: split_residual <= split_tol
-    sigma_fit: Callable[[np.ndarray], float]
 
 
 def extract_representation(model: ConstitutiveModel,
@@ -379,10 +377,7 @@ def _fit_representation(model: ConstitutiveModel, s: State) -> RepresentationRes
     symmetry = float(np.abs(V_fit - V_fit.T).max())
     M_fit = np.linalg.inv(V_fit)
 
-    def sigma_fit(F):
-        return model.energy(State(F, np.zeros(np.shape(F)[:-1])))
-
-    split = float(np.abs(model.energy(s) - sigma_fit(s.F)
+    split = float(np.abs(model.energy(s) - model.energy(State(s.F, np.zeros(s.p.shape)))
                          - 0.5 * (s.p * (s.p @ sol)).sum(-1)).max())
 
     return RepresentationResult(
@@ -391,7 +386,6 @@ def _fit_representation(model: ConstitutiveModel, s: State) -> RepresentationRes
         linearity_residual=linearity,
         split_residual=split,
         split_pass=bool(split <= DEFAULT.split_tol),
-        sigma_fit=sigma_fit,
     )
 
 

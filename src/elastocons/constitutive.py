@@ -11,20 +11,21 @@ maps
 together with optional analytic maps dS/dF and E(w) = (dS/dF)[., w, ., w].  Every map takes
 stacks of states F[..., 3, 3], p[..., 3] and returns one value per state;
 :func:`pointwise_model` loops callables written for one state at a time.
-Builders are provided for the two standard representations
+Builders are provided for the representation
 
-    classical:  v = p / rho,   tau = |p|^2 / (2 rho) + sigma(F)
-    tensor:     v = V p,       tau = p . V p / 2   + sigma(F)
+    v = V p,   tau = p . V p / 2 + sigma(F)
 
 with V a symmetric invertible velocity-coefficient tensor (the inverse of the
-mass-density tensor), plus a registry of stored-energy functions sigma(F) and
-negative-control models that each break exactly one admissibility property.
+mass-density tensor); the classical model is the case V = I / rho.  There is
+also a registry of stored-energy functions sigma(F), each with closed-form
+derivatives, and negative-control models that each break exactly one
+admissibility property.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,17 +57,16 @@ class State:
 
 @dataclass(frozen=True)
 class StoredEnergy:
-    """Stored energy sigma(F) with optional analytic derivatives.
+    """Stored energy sigma(F) with its closed-form derivatives.
 
     sigma and the derivatives take stacks F[..., 3, 3], analytic_acoustic also w[d, 3].
     """
 
     name: str
     sigma: Callable[[np.ndarray], np.ndarray]
-    analytic_stress: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    analytic_elasticity: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    analytic_acoustic: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    parameters: Mapping[str, float] = field(default_factory=dict)
+    analytic_stress: Callable[[np.ndarray], np.ndarray]
+    analytic_elasticity: Callable[[np.ndarray], np.ndarray]
+    analytic_acoustic: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,6 @@ def linear_isotropic(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         analytic_acoustic=lambda F, w: np.broadcast_to(  # mu |w|^2 I + (lam + mu) w (x) w
             mu * (w * w).sum(-1)[:, None, None] * EYE3 + (lam + mu) * w[:, :, None] * w[:, None, :],
             np.shape(F)[:-2] + (len(w), 3, 3)),
-        parameters={"lambda": lam, "mu": mu},
     )
 
 
@@ -183,7 +182,6 @@ def st_venant_kirchhoff(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         analytic_stress=stress,
         analytic_elasticity=elasticity,
         analytic_acoustic=acoustic,
-        parameters={"lambda": lam, "mu": mu},
     )
 
 
@@ -237,7 +235,6 @@ def neo_hookean(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         analytic_stress=stress,
         analytic_elasticity=elasticity,
         analytic_acoustic=acoustic,
-        parameters={"lambda": lam, "mu": mu},
     )
 
 
@@ -248,6 +245,7 @@ def zero_energy() -> StoredEnergy:
         sigma=lambda F: np.zeros(np.shape(F)[:-2]),
         analytic_stress=lambda F: np.zeros(np.shape(F)),
         analytic_elasticity=lambda F: np.zeros(np.shape(F) + (3, 3)),
+        analytic_acoustic=lambda F, w: np.zeros(np.shape(F)[:-2] + (len(w), 3, 3)),
     )
 
 
@@ -307,30 +305,19 @@ def fd_stress(se: StoredEnergy, F) -> np.ndarray:
 
 
 def fd_elasticity_tensor(se: StoredEnergy, F) -> np.ndarray:
-    """Second derivative of sigma by differencing the stress map.
+    """Second derivative of sigma by differencing the analytic stress.
 
-    Uses the analytic stress when available, otherwise the finite-difference
-    stress; the result has major symmetry S4[i,j,h,k] = S4[h,k,i,j] up to the
+    The result has major symmetry S4[i,j,h,k] = S4[h,k,i,j] up to the
     finite-difference noise floor.
     """
-    stress = _stress_from(se)
-    return fd_derivative(lambda s: stress(s.F), _at_rest(F))
+    return fd_derivative(lambda s: se.analytic_stress(s.F), _at_rest(F))
 
 
-def elasticity_map(model_or_se) -> Callable[[np.ndarray], np.ndarray]:
-    """F -> dS/dF for a model or stored energy, analytic when possible.
-
-    Without an analytic map, S4 is differenced from the stress at zero momentum.
-    """
-    if isinstance(model_or_se, ConstitutiveModel):
-        model = model_or_se
-        if model.analytic_S4 is not None:
-            return model.analytic_S4
-        return lambda F: fd_derivative(model.stress, _at_rest(F))
-    se = model_or_se
-    if se.analytic_elasticity is not None:
-        return se.analytic_elasticity
-    return lambda F: fd_elasticity_tensor(se, F)
+def elasticity_map(model: ConstitutiveModel) -> Callable[[np.ndarray], np.ndarray]:
+    """F -> dS/dF of a model: its analytic_S4, else the stress differenced at zero momentum."""
+    if model.analytic_S4 is not None:
+        return model.analytic_S4
+    return lambda F: fd_derivative(model.stress, _at_rest(F))
 
 
 def fd_velocity_jacobian(model: ConstitutiveModel, F, p) -> np.ndarray:
@@ -347,47 +334,39 @@ def _pp(p) -> np.ndarray:
     return (p[..., None, :] @ p[..., :, None])[..., 0, 0]
 
 
-def _stress_from(se: StoredEnergy) -> Callable[[np.ndarray], np.ndarray]:
-    if se.analytic_stress is not None:
-        return se.analytic_stress
-    return lambda F: fd_stress(se, F)
+def _represented_model(name: str, V: np.ndarray, se: StoredEnergy) -> ConstitutiveModel:
+    """The representation v = V p, tau = p . V p / 2 + sigma(F) with se's closed forms."""
+    VmT = V.T.copy()  # p @ VmT is V p for a single p or a stack
+    return ConstitutiveModel(
+        name=name,
+        energy=lambda s: 0.5 * (s.p * (s.p @ VmT)).sum(-1) + se.sigma(s.F),
+        velocity=lambda s: s.p @ VmT,
+        stress=lambda s: se.analytic_stress(s.F),
+        analytic_S4=se.analytic_elasticity,
+        analytic_acoustic=se.analytic_acoustic,
+    )
 
 
 def classical_model(rho: float, se: StoredEnergy) -> ConstitutiveModel:
-    """Scalar mass density: v = p / rho, tau = |p|^2 / (2 rho) + sigma(F)."""
+    """Scalar mass density: the representation with V = I / rho."""
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    stress = _stress_from(se)
-    return ConstitutiveModel(
-        name=f"classical(rho={rho:g},{se.name})",
-        energy=lambda s: _pp(s.p) / (2.0 * rho) + se.sigma(s.F),
-        velocity=lambda s: s.p / rho,
-        stress=lambda s: stress(s.F),
-        analytic_S4=elasticity_map(se),
-        analytic_acoustic=se.analytic_acoustic,
-    )
+    return _represented_model(f"classical(rho={rho:g},{se.name})", EYE3 / rho, se)
 
 
 def tensor_mass_model(V, se: StoredEnergy) -> ConstitutiveModel:
     """Tensorial mass density: v = V p, tau = p . V p / 2 + sigma(F).
 
-    V must be symmetric (to the central symmetry tolerance) and invertible.
+    V must be symmetric (to the central symmetry tolerance) and invertible:
+    its smallest singular value above 1e-12 times its largest.
     """
     V = check_finite(V, "V").reshape(3, 3)
     if asymmetry(V) > DEFAULT.sym_tol:
         raise NotSymmetric("velocity coefficient tensor V is not symmetric")
-    if abs(float(np.linalg.det(V))) <= 1e-12:
+    sv = np.linalg.svd(V, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
         raise Singular("velocity coefficient tensor V is singular")
-    VmT = V.T.copy()  # p @ VmT is V p for a single p or a stack
-    stress = _stress_from(se)
-    return ConstitutiveModel(
-        name=f"tensor_mass({se.name})",
-        energy=lambda s: 0.5 * (s.p * (s.p @ VmT)).sum(-1) + se.sigma(s.F),
-        velocity=lambda s: s.p @ VmT,
-        stress=lambda s: stress(s.F),
-        analytic_S4=elasticity_map(se),
-        analytic_acoustic=se.analytic_acoustic,
-    )
+    return _represented_model(f"tensor_mass({se.name})", V, se)
 
 
 def pointwise_model(name: str, energy, velocity, stress, analytic_S4=None) -> ConstitutiveModel:

@@ -1,9 +1,9 @@
 """Dense tensor algebra in three dimensions.
 
-Vectors are numpy arrays of shape (3,), second-order tensors (3, 3) (stacks
-of them for ``sym_part``, ``asymmetry``, ``det_cofactor`` and the
-eigensolvers), and fourth-order tensors (3, 3, 3, 3).  Everything here is a
-pure function of its inputs; nothing is mutated.
+Vectors are numpy arrays of shape (3,) and second-order tensors (3, 3)
+(stacks of them for ``sym_part``, ``asymmetry``, ``det_cofactor`` and the
+eigensolvers).  Everything here is a pure function of its inputs; nothing is
+mutated.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ EYE3 = np.eye(3)
 def outer(a, b) -> np.ndarray:
     """Dyad of two vectors: result[i, j] = a[i] * b[j]."""
     return np.multiply.outer(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def apply4(S4, Z) -> np.ndarray:
-    """Contract a fourth-order tensor with a second-order one.
-
-    result[i, j] = sum_{h, k} S4[i, j, h, k] * Z[h, k]
-    """
-    return np.einsum("ijhk,hk->ij", np.asarray(S4, dtype=float), np.asarray(Z, dtype=float))
 
 
 def check_finite(arr, what="tensor"):

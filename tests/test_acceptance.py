@@ -10,7 +10,7 @@ import pytest
 
 from elastocons import (acoustic_tensor, baseline_directions, classical_model,
                         corrupted_model, draw_states, eigenstructure,
-                        elasticity_map, ellipticity_loss_bisection,
+                        ellipticity_loss_bisection,
                         extract_representation, fibonacci_sphere, flux_jacobian,
                         full_report, initial_rate_check, linear_isotropic,
                         measure_wave_speed, min_acoustic_eigenvalue, neo_hookean,
@@ -68,7 +68,7 @@ def test_criterion_2_mu_equals_rho_lambda_squared():
     worst = 0.0
     states_checked = 0
     for se in stored_energy_registry(LAM, MU):
-        S4_at = elasticity_map(se)
+        S4_at = se.analytic_elasticity
         accepted = 0
         while accepted < 10:
             F = np.eye(3) + 0.15 * rng.uniform(-1.0, 1.0, size=(3, 3))
@@ -248,11 +248,11 @@ def test_criterion_7_conservation_and_monitor_refinement():
 
 def test_criterion_8_strong_ellipticity_boundary():
     """Direction scan flags failures; compression boundary located by bisection."""
-    bad = scan_directions(elasticity_map(linear_isotropic(LAM, -1.0)),
+    bad = scan_directions(linear_isotropic(LAM, -1.0).analytic_elasticity,
                           np.eye(3), 1.0, n_dirs=64)
     flag_ok = (not bad.strongly_elliptic) and bad.min_eigenvalue < 0.0
 
-    s4at = elasticity_map(st_venant_kirchhoff(LAM, MU))
+    s4at = st_venant_kirchhoff(LAM, MU).analytic_elasticity
     s_star = ellipticity_loss_bisection(s4at, 0.3, 1.0, n_dirs=64)
     dirs = _directions(64)
     below = min_acoustic_eigenvalue(s4at((s_star - 0.05) * np.eye(3)), dirs)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from elastocons import (State, apply4, classical_model,
+from elastocons import (State, classical_model,
                         fd_elasticity_tensor, fd_stress, linear_isotropic,
                         momentum_from_velocity, neo_hookean,
                         st_venant_kirchhoff, stored_energy_registry,
                         tensor_mass_model)
+from elastocons.constitutive import zero_energy
 from elastocons.errors import DomainError, NotSymmetric, Singular
 
 LAM, MU = 2.0, 1.0
+EPS = np.finfo(float).eps
 
 
 def _random_good_F(rng, lo=0.5, hi=2.0):
@@ -34,6 +36,15 @@ def test_classical_kinetic_part():
     assert np.allclose(m.velocity(s), [1.0, 0.0, 0.0])
     # kinetic part |p|^2 / (2 rho) = 4 / 4 = 1
     assert m.energy(s) - m.energy(State(s.F, np.zeros(3))) == pytest.approx(1.0, abs=1e-14)
+    # on a stack at inexact rho, v = p / rho and tau = |p|^2 / (2 rho) to 4 ulp;
+    # the zero stored energy leaves the kinetic part alone in tau
+    rng = np.random.default_rng(11)
+    s = State(np.eye(3) + 0.3 * rng.uniform(-1.0, 1.0, (50, 3, 3)), rng.normal(size=(50, 3)))
+    for rho in (1.5, 1.7):
+        m = classical_model(rho, zero_energy())
+        np.testing.assert_allclose(m.velocity(s), s.p / rho, rtol=4 * EPS, atol=0.0)
+        np.testing.assert_allclose(m.energy(s), (s.p * s.p).sum(-1) / (2.0 * rho),
+                                   rtol=4 * EPS, atol=0.0)
 
 
 def test_energy_even_in_momentum():
@@ -75,8 +86,14 @@ def test_tensor_model_input_validation():
     V[0, 1] = 1e-3
     with pytest.raises(NotSymmetric):
         tensor_mass_model(V, se)
-    with pytest.raises(Singular):
-        tensor_mass_model(np.diag([1.0, 1.0, 0.0]), se)
+    # singular relative to the scale of V: the smallest singular value is at
+    # most 1e-12 times the largest
+    for d in ([1.0, 1.0, 0.0], [1.0, 1.0, 1e-13], [1e3, 1e3, 1e-10]):
+        with pytest.raises(Singular):
+            tensor_mass_model(np.diag(d), se)
+    # det 1e-15, but as well conditioned as I: the V of classical_model(1e5, se)
+    m = tensor_mass_model(1e-5 * np.eye(3), se)
+    np.testing.assert_array_equal(m.velocity(State(np.eye(3), np.ones(3))), [1e-5] * 3)
     with pytest.raises(ValueError):
         classical_model(-1.0, se)
 
@@ -214,13 +231,3 @@ def test_fd_elasticity_major_symmetry_and_analytic_agreement():
             S4 = fd_elasticity_tensor(se, F)
             assert np.abs(S4 - S4.transpose(2, 3, 0, 1)).max() <= 1e-6
             assert np.abs(S4 - se.analytic_elasticity(F)).max() <= 1e-5
-
-
-def test_fd_elasticity_apply4_linearity_spot():
-    se = neo_hookean(LAM, MU)
-    rng = np.random.default_rng(10)
-    S4 = fd_elasticity_tensor(se, _random_good_F(rng))
-    Z1, Z2 = rng.normal(size=(2, 3, 3))
-    lhs = apply4(S4, 2.0 * Z1 - 3.0 * Z2)
-    rhs = 2.0 * apply4(S4, Z1) - 3.0 * apply4(S4, Z2)
-    assert np.abs(lhs - rhs).max() <= 1e-12

@@ -151,7 +151,7 @@ def test_direction_sets():
 
 def test_scan_isotropic_strongly_elliptic():
     se = linear_isotropic(LAM, MU)
-    report = scan_directions(elasticity_map(se), np.eye(3), 1.0, n_dirs=64)
+    report = scan_directions(se.analytic_elasticity, np.eye(3), 1.0, n_dirs=64)
     assert report.strongly_elliptic
     assert report.min_eigenvalue == pytest.approx(MU, abs=1e-10)
     assert len(report.records) == 64 + 26
@@ -163,7 +163,7 @@ def test_scan_isotropic_strongly_elliptic():
 
 def test_scan_negative_shear_modulus_fails():
     se = linear_isotropic(LAM, -1.0)
-    report = scan_directions(elasticity_map(se), np.eye(3), 1.0, n_dirs=16)
+    report = scan_directions(se.analytic_elasticity, np.eye(3), 1.0, n_dirs=16)
     assert not report.strongly_elliptic
     assert report.min_eigenvalue < 0.0
     # failed directions carry NaN speeds for the negative modes
@@ -173,7 +173,7 @@ def test_scan_negative_shear_modulus_fails():
 
 def test_stvk_compression_loses_ellipticity():
     se = st_venant_kirchhoff(LAM, MU)
-    s4at = elasticity_map(se)
+    s4at = se.analytic_elasticity
     assert scan_directions(s4at, np.eye(3), 1.0, n_dirs=32).strongly_elliptic
     assert not scan_directions(s4at, 0.4 * np.eye(3), 1.0, n_dirs=32).strongly_elliptic
     s_star = ellipticity_loss_bisection(s4at, 0.3, 1.0, n_dirs=32)
@@ -204,10 +204,10 @@ def test_scan_matches_per_direction_oracle(case):
     if case == "stvk_compressed":
         F = 0.5 * np.eye(3)  # past the ellipticity boundary: negative and complex modes
     # the zero-energy control: zero multiplicity 9, no propagating modes
-    S4_at = elasticity_map(corrupted_model("ellipticity") if case == "zero" else
-                           {"linear": linear_isotropic, "stvk": st_venant_kirchhoff,
-                            "neo_hookean": neo_hookean,
-                            "stvk_compressed": st_venant_kirchhoff}[case](LAM, MU))
+    S4_at = (elasticity_map(corrupted_model("ellipticity")) if case == "zero" else
+             {"linear": linear_isotropic, "stvk": st_venant_kirchhoff,
+              "neo_hookean": neo_hookean,
+              "stvk_compressed": st_venant_kirchhoff}[case](LAM, MU).analytic_elasticity)
     rho = 1.3
     S4 = S4_at(F)
     report = scan_directions(S4_at, F, rho)
@@ -246,9 +246,9 @@ def test_scan_with_a_tensor_velocity_coefficient(case):
         F = F + 0.15 * np.random.default_rng(9).uniform(-1.0, 1.0, size=(3, 3))
     if case == "stvk_compressed":
         name, F = "stvk", 0.5 * np.eye(3)
-    S4_at = elasticity_map(corrupted_model("ellipticity") if case == "zero" else
-                           {"linear": linear_isotropic, "stvk": st_venant_kirchhoff,
-                            "neo_hookean": neo_hookean}[name](LAM, MU))
+    S4_at = (elasticity_map(corrupted_model("ellipticity")) if case == "zero" else
+             {"linear": linear_isotropic, "stvk": st_venant_kirchhoff,
+              "neo_hookean": neo_hookean}[name](LAM, MU).analytic_elasticity)
     S4 = S4_at(F)
     report = scan_directions(S4_at, F, V_TENSOR)
     assert np.array_equal(report.V, V_TENSOR)
@@ -281,7 +281,7 @@ def test_jacobian_speeds_with_a_tensor_velocity_coefficient():
 
 
 def test_scan_refuses_a_velocity_coefficient_without_real_speeds():
-    S4_at = elasticity_map(linear_isotropic(LAM, MU))
+    S4_at = linear_isotropic(LAM, MU).analytic_elasticity
     with pytest.raises(NonHyperbolicState):
         scan_directions(S4_at, np.eye(3), np.diag([1.0, -1.0, 1.0]), n_dirs=4)
     with pytest.raises(ValueError):
@@ -292,13 +292,13 @@ def test_scan_pairs_the_modes_at_a_singular_acoustic_tensor():
     # lambda + 2 mu = 0: E(w) has eigenvalues (0, -1, -1) in every direction, so
     # two nonzero +- pairs with two eigenvectors each, whatever roundoff leaves
     # in the zero eigenvalue
-    report = scan_directions(elasticity_map(linear_isotropic(2.0, -1.0)), np.eye(3), 1.0)
+    report = scan_directions(linear_isotropic(2.0, -1.0).analytic_elasticity, np.eye(3), 1.0)
     assert len(report.records) == 256 + 26
     assert [r.independent_count for r in report.records] == [4] * 282
 
 
 def test_bisection_evaluates_each_stretch_once():
-    S4_at, calls = elasticity_map(st_venant_kirchhoff(LAM, MU)), []
+    S4_at, calls = st_venant_kirchhoff(LAM, MU).analytic_elasticity, []
 
     def counted(F):
         calls.append(F)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from elastocons import apply4, det_cofactor, eig_general, eig_sym, neo_hookean, outer
+from elastocons import det_cofactor, eig_general, eig_sym, neo_hookean, outer
 from elastocons.errors import DomainError, NonFinite, NotSymmetric
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -30,30 +30,6 @@ def test_outer_componentwise_oracle():
             assert D[i, j] == a[i] * b[j]
 
 
-def test_apply4_identity_and_zero():
-    rng = np.random.default_rng(0)
-    Z = rng.normal(size=(3, 3))
-    identity4 = np.einsum("ih,jk->ijhk", np.eye(3), np.eye(3))
-    assert np.allclose(apply4(identity4, Z), Z, atol=1e-15)
-    assert np.array_equal(apply4(np.zeros((3, 3, 3, 3)), Z), np.zeros((3, 3)))
-
-
-def test_apply4_quadruple_loop_oracle():
-    rng = np.random.default_rng(1)
-    S4 = rng.normal(size=(3, 3, 3, 3))
-    u = rng.normal(size=3)
-    w = rng.normal(size=3)
-    # acoustic-style contraction (S4[u (x) w]) w against explicit loops
-    via_apply = apply4(S4, outer(u, w)) @ w
-    expected = np.zeros(3)
-    for i in range(3):
-        for j in range(3):
-            for h in range(3):
-                for k in range(3):
-                    expected[i] += S4[i, j, h, k] * u[h] * w[k] * w[j]
-    assert np.allclose(via_apply, expected, atol=1e-13)
-
-
 def test_bilinearity():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -61,11 +37,6 @@ def test_bilinearity():
         al, be = rng.normal(size=2)
         assert np.allclose(outer(a, al * b1 + be * b2),
                            al * outer(a, b1) + be * outer(a, b2), atol=1e-13)
-        S4 = rng.normal(size=(3, 3, 3, 3))
-        Z1 = rng.normal(size=(3, 3))
-        Z2 = rng.normal(size=(3, 3))
-        assert np.allclose(apply4(S4, al * Z1 + be * Z2),
-                           al * apply4(S4, Z1) + be * apply4(S4, Z2), atol=1e-12)
 
 
 def test_eig_sym_identity():
