@@ -8,7 +8,8 @@ maps
     velocity (F, p) -> v          boundary flux of F
     stress   (F, p) -> S          Piola stress, boundary flux of p
 
-together with optional analytic maps dS/dF and E(w) = (dS/dF)[., w, ., w].  Every map takes
+together with optional analytic maps dS/dF, E(w) = (dS/dF)[., w, ., w] and the extreme
+eigenvalues of V^(1/2) E(w) V^(1/2) (V = dv/dp).  Every map takes
 stacks of states F[..., 3, 3], p[..., 3] and returns one value per state;
 :func:`pointwise_model` loops callables written for one state at a time.
 Builders are provided for the representation
@@ -60,6 +61,8 @@ class StoredEnergy:
     """Stored energy sigma(F) with its closed-form derivatives.
 
     sigma and the derivatives take stacks F[..., 3, 3], analytic_acoustic also w[d, 3].
+    An energy whose E(w) = a I + k g (x) g gives acoustic_parts (F, w) -> (a, k, g),
+    broadcastable to F.shape[:-2] + (d,), the same and + (d, 3).
     """
 
     name: str
@@ -67,6 +70,17 @@ class StoredEnergy:
     analytic_stress: Callable[[np.ndarray], np.ndarray]
     analytic_elasticity: Callable[[np.ndarray], np.ndarray]
     analytic_acoustic: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    acoustic_parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+
+
+def _rank_one_acoustic(parts):
+    """analytic_acoustic E(w) = a I + k g (x) g from acoustic parts (a, k, g)."""
+    def acoustic(F, w):
+        a, k, g = parts(F, w)
+        E = np.asarray(k)[..., None, None] * g[..., :, None] * g[..., None, :]
+        return np.broadcast_to(E + np.asarray(a)[..., None, None] * EYE3,
+                               np.shape(F)[:-2] + (len(w), 3, 3))
+    return acoustic
 
 
 @dataclass(frozen=True)
@@ -74,7 +88,8 @@ class ConstitutiveModel:
     """Black-box triple (energy, velocity, stress) on stacks of states (F, p).
 
     For states with leading shape L, energy returns L, velocity L + (3,), stress L + (3, 3),
-    analytic_S4 (of F) L + (3, 3, 3, 3) and analytic_acoustic (of F, w[d, 3]) L + (d, 3, 3).
+    analytic_S4 (of F) L + (3, 3, 3, 3), analytic_acoustic (of F, w[d, 3]) L + (d, 3, 3) and
+    acoustic_extremes (of F, w) L + (d, 2): lowest and highest eigenvalue of V^(1/2) E(w) V^(1/2).
     Construction evaluates each map once on a two-state stack (and one direction) and
     raises PreconditionFailure, naming the map, if it raises or returns another shape.
     """
@@ -85,13 +100,15 @@ class ConstitutiveModel:
     stress: Callable[[State], np.ndarray]
     analytic_S4: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_acoustic: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    acoustic_extremes: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         s = State(np.tile(EYE3, (2, 1, 1)), np.zeros((2, 3)))
         maps = [("energy", self.energy, (s,), ()), ("velocity", self.velocity, (s,), (3,)),
                 ("stress", self.stress, (s,), (3, 3)),
                 ("analytic_S4", self.analytic_S4, (s.F,), (3, 3, 3, 3)),
-                ("analytic_acoustic", self.analytic_acoustic, (s.F, EYE3[:1]), (1, 3, 3))]
+                ("analytic_acoustic", self.analytic_acoustic, (s.F, EYE3[:1]), (1, 3, 3)),
+                ("acoustic_extremes", self.acoustic_extremes, (s.F, EYE3[:1]), (1, 2))]
         for name, fn, args, shape in maps:
             if fn is None:
                 continue
@@ -130,14 +147,14 @@ def linear_isotropic(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
                   + np.einsum("ik,jh->ijhk", EYE3, EYE3)))
     S4.setflags(write=False)
 
+    def parts(F, w):  # mu |w|^2 I + (lam + mu) w (x) w
+        return mu * (w * w).sum(-1), lam + mu, w
     return StoredEnergy(
         name="linear_isotropic",
         sigma=sigma,
         analytic_stress=stress,
         analytic_elasticity=lambda F: np.broadcast_to(S4, np.shape(F)[:-2] + S4.shape),
-        analytic_acoustic=lambda F, w: np.broadcast_to(  # mu |w|^2 I + (lam + mu) w (x) w
-            mu * (w * w).sum(-1)[:, None, None] * EYE3 + (lam + mu) * w[:, :, None] * w[:, None, :],
-            np.shape(F)[:-2] + (len(w), 3, 3)),
+        analytic_acoustic=_rank_one_acoustic(parts), acoustic_parts=parts,
     )
 
 
@@ -223,29 +240,30 @@ def neo_hookean(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         S4 -= c[..., :, None, None, :] * Finv[..., None, :, :, None]  # c_ik Finv_jh
         return S4
 
-    def acoustic(F, w):  # mu |w|^2 I + (lam + mu - lam ln J) g (x) g, g = F^-T w
+    def parts(F, w):  # mu |w|^2 I + (lam + mu - lam ln J) g (x) g, g = F^-T w
         lnJ, FinvT = _log_det_inv_t(F)
         g = w @ FinvT.swapaxes(-1, -2)  # [..., d, i] = (F^-T w_d)_i
-        E = (lam + mu - lam * lnJ)[..., None, None, None] * g[..., :, None] * g[..., None, :]
-        return E + mu * (w * w).sum(-1)[:, None, None] * EYE3
+        return mu * (w * w).sum(-1), (lam + mu - lam * lnJ)[..., None], g
 
     return StoredEnergy(
         name="neo_hookean",
         sigma=sigma,
         analytic_stress=stress,
         analytic_elasticity=elasticity,
-        analytic_acoustic=acoustic,
+        analytic_acoustic=_rank_one_acoustic(parts), acoustic_parts=parts,
     )
 
 
 def zero_energy() -> StoredEnergy:
     """Degenerate sigma = 0 (stress-free for every F)."""
+    def parts(F, w):
+        return 0.0, 0.0, w
     return StoredEnergy(
         name="zero",
         sigma=lambda F: np.zeros(np.shape(F)[:-2]),
         analytic_stress=lambda F: np.zeros(np.shape(F)),
         analytic_elasticity=lambda F: np.zeros(np.shape(F) + (3, 3)),
-        analytic_acoustic=lambda F, w: np.zeros(np.shape(F)[:-2] + (len(w), 3, 3)),
+        analytic_acoustic=_rank_one_acoustic(parts), acoustic_parts=parts,
     )
 
 
@@ -334,7 +352,8 @@ def _pp(p) -> np.ndarray:
     return (p[..., None, :] @ p[..., :, None])[..., 0, 0]
 
 
-def _represented_model(name: str, V: np.ndarray, se: StoredEnergy) -> ConstitutiveModel:
+def _represented_model(name: str, V: np.ndarray, se: StoredEnergy,
+                       acoustic_extremes=None) -> ConstitutiveModel:
     """The representation v = V p, tau = p . V p / 2 + sigma(F) with se's closed forms."""
     VmT = V.T.copy()  # p @ VmT is V p for a single p or a stack
     return ConstitutiveModel(
@@ -344,14 +363,25 @@ def _represented_model(name: str, V: np.ndarray, se: StoredEnergy) -> Constituti
         stress=lambda s: se.analytic_stress(s.F),
         analytic_S4=se.analytic_elasticity,
         analytic_acoustic=se.analytic_acoustic,
+        acoustic_extremes=acoustic_extremes,
     )
 
 
 def classical_model(rho: float, se: StoredEnergy) -> ConstitutiveModel:
-    """Scalar mass density: the representation with V = I / rho."""
+    """Scalar mass density: the representation with V = I / rho.
+
+    With V exact, an energy's acoustic_parts give acoustic_extremes without an eigensolver.
+    """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    return _represented_model(f"classical(rho={rho:g},{se.name})", EYE3 / rho, se)
+
+    def extremes(F, w):  # eig (a I + k g (x) g) / rho: a / rho twice, (a + k |g|^2) / rho
+        a, k, g = se.acoustic_parts(F, w)
+        kgg = k * (g * g).sum(-1)
+        lo, hi = np.broadcast_arrays(a + np.minimum(kgg, 0.0), a + np.maximum(kgg, 0.0))
+        return np.broadcast_to(np.stack([lo, hi], -1) / rho, np.shape(F)[:-2] + (len(w), 2))
+    return _represented_model(f"classical(rho={rho:g},{se.name})", EYE3 / rho, se,
+                              extremes if se.acoustic_parts else None)
 
 
 def tensor_mass_model(V, se: StoredEnergy) -> ConstitutiveModel:

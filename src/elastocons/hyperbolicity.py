@@ -144,22 +144,37 @@ def eigenstructure(M) -> EigenStructure:
     """Zero multiplicity (geometric, via rank) and nonzero eigenpairs of M[..., n, n].
 
     The dense reference for the block classification of :func:`scan_directions`.
-    The eigenvectors of zero-band eigenvalues are masked to zero columns, so
-    one SVD of the unit eigenvector matrix counts the independent nonzero
-    modes; with k of them its k-th singular value is ``independence_sv``.
+    An eigenvalue is nonzero when above the zero band and among the n - a largest in
+    modulus, a the algebraic multiplicity of 0, so no rounding split of a defective zero is
+    a mode.  The other eigenvectors are masked to zero columns, so one SVD of the unit
+    eigenvector matrix counts the independent nonzero modes; with k of them its k-th
+    singular value is ``independence_sv``.
     """
     M = np.asarray(M, dtype=float)
+    n = M.shape[-1]
     svals = np.linalg.svd(M, compute_uv=False)
     smax = svals[..., 0]
     threshold = DEFAULT.zero_band * smax[..., None]
     evals, evecs = eig_general(M)
-    nonzero = np.abs(evals) > threshold
+    # algebraic multiplicity of 0 by staircase reduction (Golub & Wilkinson, SIAM Review 18
+    # (1976) 578-619): deflate the numerical kernel until none is left.  Singular values,
+    # unlike the eigenvalues of a Jordan block of size m (eps^(1/m) apart), do not split.
+    P, zeros = np.eye(n), np.zeros(M.shape[:-2], dtype=int)
+    for _ in range(n):
+        _, s, vh = np.linalg.svd(P @ M @ P)
+        small = s <= threshold  # the deflated directions included
+        if np.array_equal(small.sum(-1), zeros):
+            break
+        zeros, K = small.sum(-1), vh.swapaxes(-1, -2) * small[..., None, :]
+        P = np.eye(n) - K @ K.swapaxes(-1, -2)
+    by_modulus = np.argsort(np.argsort(-np.abs(evals), axis=-1), axis=-1)
+    nonzero = (np.abs(evals) > threshold) & (by_modulus < n - zeros[..., None])
     unit = evecs / np.linalg.norm(evecs, axis=-2, keepdims=True)
     unit *= nonzero[..., None, :]
     sv = np.linalg.svd(unit, compute_uv=False)
     kth = np.maximum(nonzero.sum(axis=-1) - 1, 0)[..., None]
     return EigenStructure(
-        zero_multiplicity=M.shape[-1] - np.sum(svals > threshold, axis=-1),
+        zero_multiplicity=n - np.sum(svals > threshold, axis=-1),
         eigenvalues=evals,
         nonzero_pairs=([(evals[i], evecs[:, i]) for i in np.flatnonzero(nonzero)]
                        if M.ndim == 2 else None),

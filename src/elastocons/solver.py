@@ -76,11 +76,8 @@ class Grid:
     def positions(self) -> np.ndarray:
         """Cell-center coordinates embedded in R^3, shape cells + (3,)."""
         pos = np.zeros(self.cells + (3,))
-        for a in range(self.dims):
-            coord = (np.arange(self.cells[a]) + 0.5) * self.h[a]
-            shape = [1] * self.dims
-            shape[a] = self.cells[a]
-            pos[..., a] = coord.reshape(shape)
+        pos[..., :self.dims] = np.stack(np.meshgrid(
+            *((np.arange(c) + 0.5) * h for c, h in zip(self.cells, self.h)), indexing="ij"), -1)
         return pos
 
 
@@ -139,18 +136,23 @@ def _velocity_coefficient_root(model: ConstitutiveModel, F, p) -> np.ndarray:
 def _cell_speeds(model: ConstitutiveModel, fld: Field, vroot: np.ndarray) -> np.ndarray:
     """Max characteristic speed per cell and active axis, shape cells + (dims,).
 
-    Speeds come from the spectrum of V^(1/2) E(e_a) V^(1/2), with E(e_a) from
-    :func:`acoustic_map` for CELL_BLOCK cells at a time; a negative acoustic eigenvalue
-    beyond roundoff means the state left the hyperbolic region and stepping is refused.
+    Speeds come from the extreme eigenvalues of V^(1/2) E(e_a) V^(1/2): in closed form
+    from the model's acoustic_extremes (classical linear and neo-Hookean models), else
+    from the :func:`eig_sym` spectrum with E(e_a) from :func:`acoustic_map` for
+    CELL_BLOCK cells at a time.  A negative lowest eigenvalue beyond roundoff means the
+    state left the hyperbolic region and stepping is refused.
     """
     g = fld.grid
     F = fld.F.reshape(-1, 3, 3)
-    E_of = acoustic_map(model, EYE3[:g.dims])
-    eigs = np.empty((len(F), g.dims, 3))  # descending, per cell and axis
-    for start in range(0, len(F), CELL_BLOCK):
-        block = slice(start, start + CELL_BLOCK)
-        eigs[block] = eig_sym(vroot @ E_of(F[block]) @ vroot, vectors=False)
-    lo, hi = eigs[..., -1], eigs[..., 0]
+    if model.acoustic_extremes is not None:
+        lo, hi = np.moveaxis(model.acoustic_extremes(F, EYE3[:g.dims]), -1, 0)
+    else:
+        E_of = acoustic_map(model, EYE3[:g.dims])
+        eigs = np.empty((len(F), g.dims, 3))  # descending, per cell and axis
+        for start in range(0, len(F), CELL_BLOCK):
+            block = slice(start, start + CELL_BLOCK)
+            eigs[block] = eig_sym(vroot @ E_of(F[block]) @ vroot, vectors=False)
+        lo, hi = eigs[..., -1], eigs[..., 0]
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)).max(axis=0))
     bad = np.flatnonzero(lo.min(axis=0) < -1e-10 * scale)
     if bad.size:
@@ -224,18 +226,9 @@ def involution_residual(fld: Field) -> float:
     resolve are zero.  Returns the max-norm over cells and pairs.
     """
     g = fld.grid
-    dF = [None, None, None]
-    for d in range(3):
-        if d < g.dims:
-            dF[d] = _axis_derivative(fld.F, g, d)
-        else:
-            dF[d] = np.zeros_like(fld.F)
-    worst = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            r = dF[b][..., :, a] - dF[a][..., :, b]
-            worst = max(worst, float(np.abs(r).max()))
-    return worst
+    dF = [_axis_derivative(fld.F, g, d) if d < g.dims else np.zeros_like(fld.F) for d in range(3)]
+    return max(float(np.abs(dF[b][..., :, a] - dF[a][..., :, b]).max())
+               for a in range(3) for b in range(a + 1, 3))
 
 
 def dissipation_residual(model: ConstitutiveModel, before: Field, after: Field,
@@ -372,14 +365,9 @@ def sine_wave_field(model: ConstitutiveModel, grid: Grid, polarization: str,
     """
     if axis >= grid.dims:
         raise ValueError(f"axis {axis} not active on a {grid.dims}-D grid")
-    e_ax = np.zeros(3)
-    e_ax[axis] = 1.0
-    if polarization == "longitudinal":
-        d = e_ax.copy()
-    elif polarization == "transverse":
-        d = np.zeros(3)
-        d[(axis + 1) % 3] = 1.0
-    else:
+    e_ax = EYE3[axis]
+    d = {"longitudinal": e_ax, "transverse": EYE3[(axis + 1) % 3]}.get(polarization)
+    if d is None:
         raise ValueError(f"unknown polarization {polarization!r}")
 
     c = plane_wave_speed(model, EYE3, e_ax, d)

@@ -59,27 +59,11 @@ def det_cofactor(F):
 
 
 def eig_sym(M, vectors: bool = True):
-    """Eigendecomposition of a symmetric matrix or a stack of them.
+    """Eigenvalues evals[..., i], descending, of a symmetric M[..., n, n], and unit
+    eigenvectors evecs[..., :, i] as (evals, evecs); with ``vectors=False`` evals alone.
 
-    Parameters
-    ----------
-    M : (..., n, n) array
-        Each matrix must be symmetric to within ``DEFAULT.sym_tol`` (relative).
-    vectors : bool
-        When False only the eigenvalues are computed and returned.
-
-    Returns
-    -------
-    (evals, evecs)
-        ``evals[..., :]`` sorted in descending order; ``evecs[..., :, i]`` is
-        the unit eigenvector for ``evals[..., i]``.
-
-    Raises
-    ------
-    NonFinite
-        If M has a non-finite entry.
-    NotSymmetric
-        If the relative asymmetry of M exceeds the tolerance.
+    Raises NonFinite if M has a non-finite entry and NotSymmetric if its relative
+    asymmetry exceeds ``DEFAULT.sym_tol``.
     """
     M = np.asarray(M, dtype=float)
     tol = DEFAULT.sym_tol

@@ -297,6 +297,18 @@ def test_scan_pairs_the_modes_at_a_singular_acoustic_tensor():
     assert [r.independent_count for r in report.records] == [4] * 282
 
 
+def test_dense_reference_does_not_count_a_split_defective_zero():
+    # at lambda + 2 mu = 0 the zero eigenvalue of M has a Jordan block of size 3,
+    # which rounding splits into three eigenvalues of about 4e-7 with nearly parallel
+    # eigenvectors; they are not modes, so the dense count is the scan's 4 everywhere
+    S4 = linear_isotropic(2.0, -1.0).analytic_elasticity(np.eye(3))
+    report = scan_directions(lambda _: S4, np.eye(3), 1.0)
+    dirs = np.vstack([fibonacci_sphere(256), baseline_directions()])
+    es = eigenstructure(flux_jacobian(S4, 1.0, dirs))
+    assert es.independent_count.tolist() == [r.independent_count for r in report.records]
+    assert es.zero_multiplicity.tolist() == [r.zero_multiplicity for r in report.records]
+
+
 def test_bisection_evaluates_each_stretch_once():
     S4_at, calls = st_venant_kirchhoff(LAM, MU).analytic_elasticity, []
 

@@ -132,6 +132,31 @@ def test_analytic_acoustic_tensor_is_the_contracted_elasticity(name, lam, mu, s,
 
 
 @PROPERTY
+@given(st.sampled_from(["linear_isotropic", "neo_hookean", "zero"]), _entries(0.1, 5.0),
+       _entries(0.1, 5.0), _entries(0.1, 10.0), st.sampled_from(["edge", "moderate", "k < 0"]),
+       _entries(0.0, 1.0), arrays(float, (3, 3, 3), elements=_entries(-0.4, 0.4)),
+       arrays(float, (4, 3), elements=_entries(-1.0, 1.0)).filter(
+           lambda w: np.linalg.norm(w, axis=-1).min() > 0.1))
+def test_closed_form_extremes_are_the_extreme_eigenvalues(name, lam, mu, rho, regime, t, D, w):
+    # neo-Hookean k = lam + mu - lam ln J changes sign at ln J = (lam + mu) / lam
+    se = zero_energy() if name == "zero" else stored_energy_by_name(name, lam, mu)
+    m = classical_model(rho, se)
+    G = np.eye(3) + D
+    assume(np.linalg.det(G).min() > 0.2)
+    ln_J = {"edge": np.log(1e-4) + t * np.log(10.0), "moderate": 4.0 * t - 2.0,
+            "k < 0": (lam + mu) / lam + 0.01 + 3.0 * t}[regime]
+    F = np.exp(ln_J / 3.0) * G / np.cbrt(np.linalg.det(G))[:, None, None]
+    lo_hi = m.acoustic_extremes(F, w)
+    E = np.einsum("...ijhk,dj,dk->...dih", se.analytic_elasticity(F), w, w)
+    vroot = velocity_coefficient_root(rho)
+    eigs = eig_sym(vroot @ E @ vroot, vectors=False)
+    assert lo_hi.shape == (3, 4, 2)
+    scale = 1e-12 * np.maximum(1.0, np.abs(E).max((-2, -1)))
+    assert (np.abs(lo_hi[..., 0] - eigs[..., -1]) <= scale).all()
+    assert (np.abs(lo_hi[..., 1] - eigs[..., 0]) <= scale).all()
+
+
+@PROPERTY
 @given(st.sampled_from(stored_energy_registry(LAM, MU)),
        arrays(float, (3, 3), elements=_entries(-0.3, 0.3)),
        st.one_of(_entries(0.1, 10.0),

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from field_fixtures import gradient_field_3d
 
+from elastocons import solver
 from elastocons import (Field, Grid, State, affine_initial_field,
                         classical_model, corrupted_model, flux, involution_residual,
                         linear_isotropic, measure_wave_speed,
                         momentum_from_velocity, neo_hookean, plane_wave_speed,
                         rest_field, run, sine_wave_field, st_venant_kirchhoff,
-                        step_lax_friedrichs, stored_energy_registry,
+                        step_lax_friedrichs, stored_energy_registry, eig_sym,
                         tensor_mass_model, total_deformation, total_energy,
                         total_momentum, uniform_field)
 from elastocons.errors import Blowup, NonHyperbolicState, PreconditionFailure
-from elastocons.solver import CELL_BLOCK, _cell_speeds, _velocity_coefficient_root
+from elastocons.hyperbolicity import velocity_coefficient_root
+from elastocons.solver import CELL_BLOCK, _cell_speeds
 
 LAM, MU = 2.0, 1.0
 
@@ -266,19 +268,53 @@ def test_3d_time_step_with_coupled_velocity_coefficient():
                                    lambda se: tensor_mass_model(V_COUPLED, se)],
                          ids=["classical", "tensor_mass"])
 def test_closed_form_and_contracted_S4_give_the_same_speeds_and_step(build):
-    # the two paths of acoustic_map on a random 3-D field of more than one CELL_BLOCK
+    # the closed-form extremes (classical only), eig_sym of the closed-form E(e_a) and
+    # eig_sym of the contracted S4 on a random 3-D field of more than one CELL_BLOCK
     m = build(neo_hookean(LAM, MU))
-    fallback = dataclasses.replace(m, analytic_acoustic=None)
+    assert (m.acoustic_extremes is None) == (m.name.startswith("tensor_mass"))
+    eig = dataclasses.replace(m, acoustic_extremes=None)
+    fallback = dataclasses.replace(eig, analytic_acoustic=None)
     rng = np.random.default_rng(13)
     grid = Grid.box(9)
     assert np.prod(grid.cells) > CELL_BLOCK
     fld = Field(grid=grid, F=np.eye(3) + rng.uniform(-0.15, 0.15, grid.cells + (3, 3)),
                 p=rng.uniform(-0.5, 0.5, grid.cells + (3,)))
-    vroot = _velocity_coefficient_root(m, fld.F, fld.p)
-    c, c_ref = _cell_speeds(m, fld, vroot), _cell_speeds(fallback, fld, vroot)
-    assert np.abs(c - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
-    dt, dt_ref = (step_lax_friedrichs(x, fld, 0.9).t for x in (m, fallback))
-    assert dt == pytest.approx(dt_ref, rel=1e-12, abs=0.0)
+    # V^(1/2) from V itself: the one differenced at these momenta is off by 1e-12, which
+    # the eig_sym paths would carry and the closed form (exact V = I / rho) would not
+    V = m.velocity(State(np.tile(np.eye(3), (3, 1, 1)), np.eye(3)))
+    vroot = velocity_coefficient_root(V)
+    c_ref = _cell_speeds(fallback, fld, vroot)
+    dt_ref = step_lax_friedrichs(fallback, fld, 0.9).t
+    for x in (m, eig):
+        assert np.abs(_cell_speeds(x, fld, vroot) - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
+        assert step_lax_friedrichs(x, fld, 0.9).t == pytest.approx(dt_ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("build, closed_form", [
+    (lambda: classical_model(1.5, linear_isotropic(LAM, MU)), True),
+    (lambda: classical_model(1.5, neo_hookean(LAM, MU)), True),
+    (lambda: classical_model(1.5, st_venant_kirchhoff(LAM, MU)), False),
+    (lambda: tensor_mass_model(V_COUPLED, neo_hookean(LAM, MU)), False)],
+    ids=["linear", "neo_hookean", "stvk", "tensor_mass"])
+def test_rank_one_models_step_without_an_eigensolver(monkeypatch, build, closed_form):
+    m, calls = build(), []
+    monkeypatch.setattr(solver, "eig_sym", lambda M, vectors=True: calls.append(np.shape(M))
+                        or eig_sym(M, vectors))
+    fld = sine_wave_field(m, Grid.line(16), "longitudinal", 0.01)
+    assert calls == [(3, 3)]  # plane_wave_speed: the eigenvectors pick the polarization's mode
+    calls.clear()
+    run(m, fld, t_end=0.02, cfl=0.5)
+    assert (calls == []) == closed_form
+    assert all(shape[0] == 16 for shape in calls)  # one call per step, all cells at once
+
+
+def test_uniform_neo_hookean_field_past_the_rank_one_sign_change_is_refused():
+    # ln J = ln 1e5 > (lam + mu) / lam: E(e_0) = I + (3 - 2 ln J) 100 e_0 (x) e_0
+    m = classical_model(1.0, neo_hookean(LAM, MU))
+    fld = uniform_field(Grid.line(8), np.diag([0.1, 1000.0, 1000.0]), np.zeros(3))
+    with pytest.raises(NonHyperbolicState,
+                       match=r"negative acoustic eigenvalue -2\.002e\+03 along axis 0$"):
+        step_lax_friedrichs(m, fld, cfl=0.5)
 
 
 def test_registry_wave_speeds_assemble_no_S4():
