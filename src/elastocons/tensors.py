@@ -14,6 +14,9 @@ from .errors import ConvergenceFailure, NonFinite, NotSymmetric
 from .tolerances import DEFAULT
 
 EYE3 = np.eye(3)
+_ROW, _COL = np.indices((3, 3))
+# cofactor (i, j) takes rows r, s = i+1, i+2 and columns c, d = j+1, j+2, mod 3
+_R, _S, _C, _D = (_ROW + 1) % 3, (_ROW + 2) % 3, (_COL + 1) % 3, (_COL + 2) % 3
 
 
 def outer(a, b) -> np.ndarray:
@@ -43,17 +46,13 @@ def asymmetry(M) -> float:
 def det_cofactor(F):
     """Determinant J and cofactor matrix J F^-T of F[..., 3, 3], in closed form.
 
-    The nine 2x2 cofactors are formed elementwise and J is expanded along row
-    0, so a matrix gives the same bits alone as in any stack.  Nothing is
-    divided, so a singular F is accepted.
+    The nine 2x2 cofactors F[r, c] F[s, d] - F[r, d] F[s, c] come from one
+    gather over the cyclic indices _R, _S, _C, _D (the cyclic order gives each
+    its sign), and J is expanded along row 0, so a matrix gives the same bits
+    alone as in any stack.  Nothing is divided, so a singular F is accepted.
     """
     F = np.asarray(F, dtype=float)
-    cof = np.empty(F.shape)
-    for i in range(3):
-        r, s = (i + 1) % 3, (i + 2) % 3  # cyclic order gives each cofactor its sign
-        for j in range(3):
-            c, d = (j + 1) % 3, (j + 2) % 3
-            cof[..., i, j] = F[..., r, c] * F[..., s, d] - F[..., r, d] * F[..., s, c]
+    cof = F[..., _R, _C] * F[..., _S, _D] - F[..., _R, _D] * F[..., _S, _C]
     return (F[..., 0, 0] * cof[..., 0, 0] + F[..., 0, 1] * cof[..., 0, 1]
             + F[..., 0, 2] * cof[..., 0, 2]), cof
 

@@ -150,6 +150,20 @@ def test_det_cofactor_of_one_matrix_is_its_row_of_a_stack():
         assert np.array_equal(one_J, J[idx]) and np.array_equal(one_cof, cof[idx])
 
 
+def test_det_cofactor_has_the_bits_of_the_cyclic_cofactor_loop():
+    F = np.random.default_rng(10).normal(size=(400, 3, 3))
+    ref = np.empty_like(F)
+    for i in range(3):
+        r, s = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            c, d = (j + 1) % 3, (j + 2) % 3
+            ref[:, i, j] = F[:, r, c] * F[:, s, d] - F[:, r, d] * F[:, s, c]
+    J, cof = det_cofactor(F)
+    assert np.array_equal(cof, ref)
+    assert np.array_equal(J, F[:, 0, 0] * ref[:, 0, 0] + F[:, 0, 1] * ref[:, 0, 1]
+                          + F[:, 0, 2] * ref[:, 0, 2])
+
+
 def test_neo_hookean_refuses_a_singular_cell_before_dividing():
     F = np.eye(3) + 0.1 * np.random.default_rng(9).normal(size=(6, 3, 3))
     F[4] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]]  # rank 2
