@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .admissibility import full_report
 from .config import RunConfig, load_config
-from .constitutive import (ConstitutiveModel, State, classical_model, corrupted_model,
+from .constitutive import (ConstitutiveModel, classical_model, corrupted_model,
                            elasticity_map, stored_energy_by_name, tensor_mass_model)
 from .errors import ElastoconsError
 from .hyperbolicity import scan_directions
@@ -39,8 +39,7 @@ EXIT_SIMULATION = 4
 EXIT_CONFIG = 64
 
 _FMT = "%.17g"
-SNAPSHOT_COLUMNS = ("index,x0,x1,x2," + ",".join(f"F{i}{j}" for i in range(3) for j in range(3))
-                    + ",p0,p1,p2,v0,v1,v2,energy\n")
+SNAPSHOT_COLUMNS = "index," + ",".join(f"F{i}{j}" for i in range(3) for j in range(3)) + ",p0,p1,p2\n"
 SNAPSHOT_ROW = "%d," + ",".join([_FMT] * SNAPSHOT_COLUMNS.count(",")) + "\n"
 HYP_ROW = ",".join([_FMT] * 9) + ",%d,%d\n"
 
@@ -134,27 +133,27 @@ def _build_field(cfg: RunConfig, model: ConstitutiveModel) -> Field:
                                 cfg.affine_a, cfg.affine_b, cfg.affine_c, x0)
 
 
-def _write_snapshot(name: str, cfg: RunConfig, model: ConstitutiveModel, fld: Field):
-    st = State(fld.F, fld.p)
+def _write_snapshot(name: str, cfg: RunConfig, fld: Field):
+    """F and p by C-order cell index, after a header with the grid and the time."""
     n = fld.F.size // 9
-    table = np.column_stack([fld.grid.positions().reshape(n, 3), fld.F.reshape(n, 9),
-                             fld.p.reshape(n, 3), model.velocity(st).reshape(n, 3),
-                             model.energy(st).reshape(n)])
+    table = np.column_stack([fld.F.reshape(n, 9), fld.p.reshape(n, 3)])
+    grid = (f"# cells={' '.join(map(str, fld.grid.cells))}\n"
+            f"# h={' '.join(map(_fmt, fld.grid.h))}\n# t={_fmt(fld.t)}\n")
     # row by row: one list of the whole table would raise the peak memory
-    _write(name, cfg, SNAPSHOT_COLUMNS,
+    _write(name, cfg, grid + SNAPSHOT_COLUMNS,
            (SNAPSHOT_ROW % (flat, *row.tolist()) for flat, row in enumerate(table)))
 
 
 def mode_simulate(cfg: RunConfig, model: ConstitutiveModel) -> bool:
     fld = _build_field(cfg, model)
-    _write_snapshot("snapshot_initial.csv", cfg, model, fld)
+    _write_snapshot("snapshot_initial.csv", cfg, fld)
     final, trace = run(model, fld, t_end=cfg.t_end, cfl=cfg.cfl,
                        monitor_every=cfg.monitor_every)
     _write("monitors.csv", cfg,
            "step,t,energy,energy_drift,involution_residual,dissipation_residual\n",
            (str(row[0]) + "," + ",".join(_fmt(x) for x in row[1:]) + "\n"
             for row in trace.rows()))
-    _write_snapshot("snapshot_final.csv", cfg, model, final)
+    _write_snapshot("snapshot_final.csv", cfg, final)
 
     _say(cfg, f"simulation: OK to t = {_fmt(final.t)} "
               f"({trace.steps[-1]} steps, energy drift {_fmt(trace.energy_drift[-1])})")

@@ -129,6 +129,9 @@ def test_cli_all_happy_path(tmp_path):
     assert head[1].startswith("# config_sha256=")
     assert head[2] == "# seed=97"
     assert head[3] == "step,t,energy,energy_drift,involution_residual,dissipation_residual"
+    for name in ("snapshot_initial.csv", "snapshot_final.csv"):
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            assert fh.read().splitlines()[:3] == head[:3], name
     with open(os.path.join(out, "admissibility.txt"), encoding="utf-8") as fh:
         assert "representation_split_pass=true" in fh.read().splitlines()
 
@@ -183,6 +186,62 @@ def test_cli_byte_identical_reruns(tmp_path):
         with open(os.path.join(outs[1], name), "rb") as fh:
             blob_b = fh.read()
         assert blob_a == blob_b, f"{name} differs between identical runs"
+
+
+NONCUBIC_3D = """\
+[run]
+mode = simulate
+[model]
+sigma = neo_hookean
+[grid]
+dims = 3
+cells = 5 6 7
+length = 1 1.2 1.4
+[initial]
+kind = affine
+B = 0.01 0.02 0 0 0.01 0.03 0.02 0 0.01
+a = 0.6 0.8 0
+b = 0.02 -0.03 0.01
+[evolve]
+t_end = 0.02
+"""
+
+
+def test_cli_snapshots_hold_the_state_and_the_grid(tmp_path):
+    from elastocons.cli import _build_field, build_model
+    from elastocons.config import load_config
+    from elastocons.solver import run
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, NONCUBIC_3D)
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--out", out, "--quiet"]) == 0
+    cfg = load_config(cfgp)
+    model = build_model(cfg)
+    initial = _build_field(cfg, model)
+    final, _ = run(model, initial, t_end=cfg.t_end, cfl=cfg.cfl,
+                   monitor_every=cfg.monitor_every)
+    assert final.t > 0.0
+    columns = ("index," + ",".join(f"F{i}{j}" for i in range(3) for j in range(3))
+               + ",p0,p1,p2")
+    for name, fld in (("snapshot_initial.csv", initial), ("snapshot_final.csv", final)):
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[3] == "# cells=5 6 7"
+        assert lines[4].startswith("# h=") and lines[5].startswith("# t=")
+        h = [float(x) for x in lines[4][len("# h="):].split()]
+        assert h == list(fld.grid.h) and np.allclose(h, [0.2, 0.2, 0.2])
+        assert float(lines[5][len("# t="):]) == fld.t
+        assert lines[6] == columns
+        rows = [line.split(",") for line in lines[7:]]
+        assert len(rows) == 210
+        index = np.array([int(r[0]) for r in rows])
+        assert np.array_equal(index, np.arange(210))
+        values = np.array([[float(x) for x in r[1:]] for r in rows])
+        assert np.array_equal(values[:, :9], fld.F.reshape(210, 9))
+        assert np.array_equal(values[:, 9:], fld.p.reshape(210, 3))
+        # cell centres from the index and the header: x_a = (i_a + 1/2) h_a
+        cell = np.stack(np.unravel_index(index, (5, 6, 7)), axis=-1)
+        assert np.array_equal((cell + 0.5) * np.array(h), fld.grid.positions().reshape(210, 3))
 
 
 def test_cli_bad_config_exit_64(tmp_path):
