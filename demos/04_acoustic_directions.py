@@ -20,9 +20,8 @@ report = scan_directions(iso.analytic_elasticity, np.eye(3), 1.0, n_dirs=128)
 print("isotropic model, 128 + 26 directions:")
 print("  strongly elliptic:", report.strongly_elliptic)
 print("  min acoustic eigenvalue:", report.min_eigenvalue)
-rec = report.records[0]
-print("  sample direction", rec.w, "-> eigenvalues", rec.acoustic_eigenvalues,
-      "speeds", rec.wave_speeds)
+print("  sample direction", report.directions[0], "-> eigenvalues", report.eigenvalues[0],
+      "speeds", report.speeds[0])
 
 w = np.array([1.0, 0.0, 0.0])
 M = flux_jacobian(iso.analytic_elasticity(np.eye(3)), 1.0, w)

@@ -29,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .constitutive import (ConstitutiveModel, State, fd_derivative, fd_velocity_jacobian,
-                           momentum_from_velocity)
+from .constitutive import (CORRUPTION_KINDS, ConstitutiveModel, State, fd_derivative,
+                           fd_velocity_jacobian, momentum_from_velocity)
 from .errors import FitDegenerate, NewtonDivergence, NotUnit, PreconditionFailure
 from .tensors import EYE3, det_cofactor
 from .tolerances import DEFAULT
@@ -39,21 +39,17 @@ from .tolerances import DEFAULT
 #: violation forces a thermo one (the mixed-derivative identity follows from
 #: the two gradient identities for twice-differentiable energies), and the
 #: cubic velocity used to break normality is not affine in p, so its shift
-#: defect is state-dependent as well.
-NEGATIVE_CONTROL_EXPECTATIONS = {
-    "normality": {"fail": {"normality", "galilean"},
-                  "pass": {"ellipticity", "thermo", "maxwell", "parity"}},
-    "ellipticity": {"fail": {"ellipticity"},
-                    "pass": {"normality", "thermo", "maxwell", "galilean", "parity"}},
-    "thermo": {"fail": {"thermo"},
-               "pass": {"normality", "ellipticity", "maxwell", "galilean", "parity"}},
-    "maxwell": {"fail": {"maxwell", "thermo"},
-                "pass": {"normality", "ellipticity", "galilean", "parity"}},
-    "galilean": {"fail": {"galilean"},
-                 "pass": {"normality", "ellipticity", "thermo", "maxwell", "parity"}},
-    "parity": {"fail": {"parity"},
-               "pass": {"normality", "ellipticity", "thermo", "maxwell", "galilean"}},
+#: defect is state-dependent as well.  Every other check passes.
+_CONTROL_FAILS = {
+    "normality": {"normality", "galilean"},
+    "ellipticity": {"ellipticity"},
+    "thermo": {"thermo"},
+    "maxwell": {"maxwell", "thermo"},
+    "galilean": {"galilean"},
+    "parity": {"parity"},
 }
+NEGATIVE_CONTROL_EXPECTATIONS = {kind: {"fail": fail, "pass": set(CORRUPTION_KINDS) - fail}
+                                 for kind, fail in _CONTROL_FAILS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -205,30 +201,33 @@ def check_parity(model: ConstitutiveModel, probes: State):
 # Report
 # ---------------------------------------------------------------------------
 
+#: The report's rows, in order: (row, check, tolerance).  Thermo has two rows,
+#: the velocity and the stress residual, and one pass flag.
+ROWS = (
+    ("normality", "normality", DEFAULT.normality_tol),
+    ("ellipticity", "ellipticity", DEFAULT.ellipticity_tol),
+    ("thermo_velocity", "thermo", DEFAULT.thermo_tol),
+    ("thermo_stress", "thermo", DEFAULT.thermo_tol),
+    ("maxwell", "maxwell", DEFAULT.maxwell_tol),
+    ("galilean", "galilean", DEFAULT.galilean_tol),
+    ("parity", "parity", DEFAULT.parity_tol),
+)
+
+
 @dataclass
 class AdmissibilityReport:
     """Structured result of all six checks on one model.
 
-    For normality and ellipticity the recorded value is the minimum
-    |determinant| over probes and the check passes when the value stays
-    *above* its tolerance; for the remaining checks the value is a residual
-    that must stay *below* tolerance.
+    ``results`` maps each check to its pass flag and ``values`` each row of
+    :data:`ROWS` to its value.  For normality and ellipticity the value is the
+    minimum |determinant| over probes and the check passes when the value
+    stays *above* its tolerance; for the remaining checks the value is a
+    residual that must stay *below* tolerance.
     """
 
     model_name: str
-    normality_ok: bool
-    normality_min_det: float
-    ellipticity_ok: bool
-    ellipticity_min_det: float
-    thermo_ok: bool
-    thermo_residual_v: float
-    thermo_residual_S: float
-    maxwell_ok: bool
-    maxwell_residual: float
-    galilean_ok: bool
-    galilean_deviation: float
-    parity_ok: bool
-    parity_asymmetry: float
+    results: dict[str, bool]
+    values: dict[str, float]
     probes: int = 0
     seed: int = 0
     notes: dict = field(default_factory=dict)
@@ -236,31 +235,11 @@ class AdmissibilityReport:
 
     @property
     def passed(self) -> bool:
-        return (self.normality_ok and self.ellipticity_ok and self.thermo_ok
-                and self.maxwell_ok and self.galilean_ok and self.parity_ok)
-
-    def results(self) -> dict[str, bool]:
-        return {
-            "normality": self.normality_ok,
-            "ellipticity": self.ellipticity_ok,
-            "thermo": self.thermo_ok,
-            "maxwell": self.maxwell_ok,
-            "galilean": self.galilean_ok,
-            "parity": self.parity_ok,
-        }
+        return all(self.results.values())
 
     def rows(self):
-        """(check, residual, tolerance, pass) rows for CSV output."""
-        t = DEFAULT
-        return [
-            ("normality", self.normality_min_det, t.normality_tol, self.normality_ok),
-            ("ellipticity", self.ellipticity_min_det, t.ellipticity_tol, self.ellipticity_ok),
-            ("thermo_velocity", self.thermo_residual_v, t.thermo_tol, self.thermo_ok),
-            ("thermo_stress", self.thermo_residual_S, t.thermo_tol, self.thermo_ok),
-            ("maxwell", self.maxwell_residual, t.maxwell_tol, self.maxwell_ok),
-            ("galilean", self.galilean_deviation, t.galilean_tol, self.galilean_ok),
-            ("parity", self.parity_asymmetry, t.parity_tol, self.parity_ok),
-        ]
+        """(row, value, tolerance, pass) rows for CSV output."""
+        return [(row, self.values[row], tol, self.results[check]) for row, check, tol in ROWS]
 
     def as_text(self) -> str:
         lines = [f"model={self.model_name}", f"probes={self.probes}", f"seed={self.seed}"]
@@ -296,25 +275,22 @@ def full_report(model: ConstitutiveModel, n_probes: int = 100,
     ell_probes = draw_ellipticity_probes(n_probes, rng)
     notes = {}
 
-    n_ok, n_val = check_normality(model, probes)
+    outcomes = {"normality": check_normality(model, probes)}
     try:
-        e_ok, e_val = check_ellipticity(model, ell_probes)
+        outcomes["ellipticity"] = check_ellipticity(model, ell_probes)
     except NewtonDivergence as exc:
-        e_ok, e_val = False, float("nan")
+        outcomes["ellipticity"] = False, float("nan")
         notes["ellipticity"] = f"velocity inversion diverged: {exc}"
-    t_ok, (t_v, t_S) = check_thermo(model, probes)
-    m_ok, m_val = check_maxwell(model, probes)
-    g_ok, g_val = check_galilean(model, probes)
-    p_ok, p_val = check_parity(model, probes)
+    for name, check in (("thermo", check_thermo), ("maxwell", check_maxwell),
+                        ("galilean", check_galilean), ("parity", check_parity)):
+        outcomes[name] = check(model, probes)
+    values = {name: value for name, (_, value) in outcomes.items()}
+    values["thermo_velocity"], values["thermo_stress"] = values.pop("thermo")
 
     report = AdmissibilityReport(
         model_name=model.name,
-        normality_ok=n_ok, normality_min_det=n_val,
-        ellipticity_ok=e_ok, ellipticity_min_det=e_val,
-        thermo_ok=t_ok, thermo_residual_v=t_v, thermo_residual_S=t_S,
-        maxwell_ok=m_ok, maxwell_residual=m_val,
-        galilean_ok=g_ok, galilean_deviation=g_val,
-        parity_ok=p_ok, parity_asymmetry=p_val,
+        results={name: ok for name, (ok, _) in outcomes.items()},
+        values=values,
         probes=n_probes, seed=seed, notes=notes,
     )
     if report.passed:

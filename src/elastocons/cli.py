@@ -42,6 +42,7 @@ _FMT = "%.17g"
 SNAPSHOT_COLUMNS = "index," + ",".join(f"F{i}{j}" for i in range(3) for j in range(3)) + ",p0,p1,p2\n"
 SNAPSHOT_ROW = "%d," + ",".join([_FMT] * SNAPSHOT_COLUMNS.count(",")) + "\n"
 HYP_ROW = ",".join([_FMT] * 9) + ",%d,%d\n"
+MONITOR_ROW = "%d," + ",".join([_FMT] * 5) + "\n"
 
 
 def _fmt(x) -> str:
@@ -151,8 +152,7 @@ def mode_simulate(cfg: RunConfig, model: ConstitutiveModel) -> bool:
                        monitor_every=cfg.monitor_every)
     _write("monitors.csv", cfg,
            "step,t,energy,energy_drift,involution_residual,dissipation_residual\n",
-           (str(row[0]) + "," + ",".join(_fmt(x) for x in row[1:]) + "\n"
-            for row in trace.rows()))
+           (MONITOR_ROW % row for row in trace.rows()))
     _write_snapshot("snapshot_final.csv", cfg, final)
 
     _say(cfg, f"simulation: OK to t = {_fmt(final.t)} "

@@ -137,7 +137,6 @@ class EigenStructure:
     nonzero_pairs: list | None      # (eigenvalue, eigenvector) above the zero band, one matrix
     independent_count: int          # rank of the stacked nonzero eigenvectors
     independence_sv: float          # smallest singular value of that stack
-    spectral_scale: float           # largest singular value of the matrix
 
 
 def eigenstructure(M) -> EigenStructure:
@@ -153,8 +152,7 @@ def eigenstructure(M) -> EigenStructure:
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
     svals = np.linalg.svd(M, compute_uv=False)
-    smax = svals[..., 0]
-    threshold = DEFAULT.zero_band * smax[..., None]
+    threshold = DEFAULT.zero_band * svals[..., :1]
     evals, evecs = eig_general(M)
     # algebraic multiplicity of 0 by staircase reduction (Golub & Wilkinson, SIAM Review 18
     # (1976) 578-619): deflate the numerical kernel until none is left.  Singular values,
@@ -180,7 +178,6 @@ def eigenstructure(M) -> EigenStructure:
                        if M.ndim == 2 else None),
         independent_count=np.sum(sv > DEFAULT.indep_sv_tol, axis=-1),
         independence_sv=np.take_along_axis(sv, kth, axis=-1)[..., 0],
-        spectral_scale=smax,
     )
 
 
@@ -212,18 +209,14 @@ def baseline_directions() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DirectionRecord:
-    w: np.ndarray
-    acoustic_eigenvalues: np.ndarray  # descending
-    min_eigenvalue: float
-    wave_speeds: np.ndarray           # sqrt(eig V^(1/2) E V^(1/2)), NaN where negative
-    zero_multiplicity: int
-    independent_count: int
-
-
-@dataclass
 class HyperbolicityReport:
-    records: list
+    """The scan, one row per direction: arrays over the n scanned directions."""
+
+    directions: np.ndarray            # [n, 3]
+    eigenvalues: np.ndarray           # [n, 3] acoustic eigenvalues, descending
+    speeds: np.ndarray                # [n, 3] sqrt(eig V^(1/2) E V^(1/2)), NaN where negative
+    zero_multiplicity: np.ndarray     # [n]
+    independent_count: np.ndarray     # [n]
     V: np.ndarray                     # velocity coefficient dv/dp
     strongly_elliptic: bool
     min_eigenvalue: float
@@ -231,9 +224,9 @@ class HyperbolicityReport:
 
     def rows(self):
         """CSV rows of Python numbers: direction, acoustic eigenvalues, speeds, multiplicities."""
-        for r in self.records:
-            yield (*r.w.tolist(), *r.acoustic_eigenvalues.tolist(), *r.wave_speeds.tolist(),
-                   r.zero_multiplicity, r.independent_count)
+        floats = np.hstack([self.directions, self.eigenvalues, self.speeds]).tolist()
+        return [(*f, z, k) for f, z, k in zip(floats, self.zero_multiplicity.tolist(),
+                                              self.independent_count.tolist())]
 
 
 def scan_directions(S4_at, F, V, n_dirs: int = 256) -> HyperbolicityReport:
@@ -261,12 +254,12 @@ def scan_directions(S4_at, F, V, n_dirs: int = 256) -> HyperbolicityReport:
     indep = 2 * np.sum(np.sqrt(np.abs(mu)) > band, axis=-1)
     speeds = np.where(mu >= 0.0, np.sqrt(np.clip(mu, 0.0, None)), np.nan)
     worst = int(np.argmin(evals[:, -1]))
-    records = [DirectionRecord(w=w, acoustic_eigenvalues=e, min_eigenvalue=float(e[-1]),
-                               wave_speeds=c, zero_multiplicity=int(z),
-                               independent_count=int(k))
-               for w, e, c, z, k in zip(dirs, evals, speeds, zero_mult, indep)]
     return HyperbolicityReport(
-        records=records,
+        directions=dirs,
+        eigenvalues=evals,
+        speeds=speeds,
+        zero_multiplicity=zero_mult,
+        independent_count=indep,
         V=V,
         strongly_elliptic=bool(evals[worst, -1] > DEFAULT.se_tol),
         min_eigenvalue=float(evals[worst, -1]),

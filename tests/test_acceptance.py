@@ -104,13 +104,13 @@ def test_criterion_3_gradient_identities_and_controls():
     worst = 0.0
     for m in models:
         report = full_report(m, n_probes=100, seed=SEED)
-        worst = max(worst, report.thermo_residual_v, report.thermo_residual_S,
-                    report.maxwell_residual)
+        worst = max(worst, report.values["thermo_velocity"], report.values["thermo_stress"],
+                    report.values["maxwell"])
         ok = ok and report.passed and worst <= 1e-5
 
     control_ok = True
     for kind, expected in NEGATIVE_CONTROL_EXPECTATIONS.items():
-        results = full_report(corrupted_model(kind), n_probes=30, seed=SEED).results()
+        results = full_report(corrupted_model(kind), n_probes=30, seed=SEED).results
         targeted_fails = not results[kind]
         others_ok = all(results[name] for name in expected["pass"])
         implied_ok = all(not results[name] for name in expected["fail"])

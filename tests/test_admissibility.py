@@ -13,6 +13,7 @@ from elastocons.admissibility import (NEGATIVE_CONTROL_EXPECTATIONS, default_shi
                                       ellipticity_tensor)
 from elastocons.constitutive import elasticity_map
 from elastocons.errors import FitDegenerate, PreconditionFailure
+from elastocons.tolerances import DEFAULT
 
 LAM, MU = 2.0, 1.0
 SEED = 20260810
@@ -213,11 +214,11 @@ def test_full_report_builders_pass():
     for m in models:
         report = full_report(m, n_probes=100, seed=SEED)
         assert report.passed, report.as_text()
-        assert report.thermo_residual_v <= 1e-6
-        assert report.thermo_residual_S <= 1e-6
-        assert report.maxwell_residual <= 1e-6
-        assert report.galilean_deviation <= 1e-9
-        assert report.parity_asymmetry <= 1e-9
+        assert report.values["thermo_velocity"] <= 1e-6
+        assert report.values["thermo_stress"] <= 1e-6
+        assert report.values["maxwell"] <= 1e-6
+        assert report.values["galilean"] <= 1e-9
+        assert report.values["parity"] <= 1e-9
 
 
 def test_full_report_keeps_the_fit_of_a_passing_model():
@@ -237,12 +238,33 @@ def test_full_report_keeps_the_fit_of_a_passing_model():
 def test_negative_controls_fail_exactly_their_target():
     for kind, expected in NEGATIVE_CONTROL_EXPECTATIONS.items():
         report = full_report(corrupted_model(kind), n_probes=30, seed=SEED)
-        results = report.results()
+        results = report.results
         assert kind in expected["fail"]
         for name in expected["fail"]:
             assert not results[name], f"{kind} control: {name} unexpectedly passed"
         for name in expected["pass"]:
             assert results[name], f"{kind} control: {name} unexpectedly failed"
+
+
+def test_report_rows_carry_their_tolerance_and_agree_with_their_flags():
+    names = ["normality", "ellipticity", "thermo_velocity", "thermo_stress", "maxwell",
+             "galilean", "parity"]
+    tols = [DEFAULT.normality_tol, DEFAULT.ellipticity_tol, DEFAULT.thermo_tol,
+            DEFAULT.thermo_tol, DEFAULT.maxwell_tol, DEFAULT.galilean_tol, DEFAULT.parity_tol]
+    models = ([classical_model(1.0, linear_isotropic(LAM, MU)),
+               classical_model(2.0, st_venant_kirchhoff(LAM, MU)),
+               classical_model(1.5, neo_hookean(LAM, MU)),
+               tensor_mass_model(np.diag([0.5, 1.25, 2.0]), neo_hookean(LAM, MU))]
+              + [corrupted_model(kind) for kind in NEGATIVE_CONTROL_EXPECTATIONS])
+    for m in models:
+        rows = full_report(m, n_probes=30, seed=SEED).rows()
+        assert [(name, tol) for name, _, tol, _ in rows] == list(zip(names, tols))
+        for name, value, tol, ok in rows[:2]:  # a minimum |det| stays above (NaN fails)
+            assert ok is (value > tol), (m.name, name, value)
+        for name, value, tol, ok in rows[4:]:  # a residual stays at or below
+            assert ok is (value <= tol), (m.name, name, value)
+        (_, res_v, tol, ok_v), (_, res_S, _, ok_S) = rows[2:4]
+        assert ok_v is ok_S is (res_v <= tol and res_S <= tol), m.name
 
 
 def test_representation_recovers_hidden_tensor():
@@ -378,4 +400,4 @@ def test_checks_return_python_bool_and_float():
             assert type(ok) is bool, m.name
             values = value if isinstance(value, tuple) else (value,)
             assert all(type(x) is float for x in values), m.name
-        assert all(type(ok) is bool for ok in full_report(m, 10, SEED).results().values())
+        assert all(type(ok) is bool for ok in full_report(m, 10, SEED).results.values())

@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from elastocons import RunConfig, parse_config
+from elastocons import (RunConfig, elasticity_map, load_config, parse_config, scan_directions,
+                        st_venant_kirchhoff, tensor_mass_model)
 from elastocons.cli import main
 from elastocons.config import SCHEMA
 from elastocons.errors import ParseError, ValidationError
@@ -336,6 +337,25 @@ def test_cli_tensor_model_runs_every_mode(tmp_path):
         mu = np.sort(np.linalg.eigvals(V_TENSOR @ E).real)[::-1]
         assert np.abs(np.array(row[6:9]) ** 2 - mu).max() <= 1e-12
         assert row[9:] == [6, 6]
+
+
+def test_cli_hyperbolicity_csv_is_the_scan(tmp_path):
+    # tensor-mass St. Venant-Kirchhoff past its ellipticity boundary: NaN speeds
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, TENSOR_ALL.replace("sigma = linear_isotropic", "sigma = stvk").replace(
+        "n_dirs = 256", "n_dirs = 256\nf = 0.5 0 0 0 0.5 0 0 0 0.5"))
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--mode", "hyperbolicity", "--out", out, "--quiet"]) == 3
+    with open(os.path.join(out, "hyperbolicity.csv"), encoding="utf-8") as fh:
+        table = np.array([[float(x) for x in line.split(",")] for line in fh.read().splitlines()
+                          if not line.startswith("#") and not line.startswith("w0")])
+    cfg = load_config(cfgp)
+    model = tensor_mass_model(V_TENSOR, st_venant_kirchhoff(2.0, 1.0))
+    report = scan_directions(elasticity_map(model), cfg.hyp_F, cfg.v_tensor, n_dirs=cfg.n_dirs)
+    assert np.isnan(report.speeds).any()
+    expected = np.column_stack([report.directions, report.eigenvalues, report.speeds,
+                                report.zero_multiplicity, report.independent_count])
+    assert np.array_equal(table, expected, equal_nan=True)
 
 
 def test_cli_indefinite_velocity_coefficient_fails_hyperbolicity(tmp_path, capsys):

@@ -154,11 +154,10 @@ def test_scan_isotropic_strongly_elliptic():
     report = scan_directions(se.analytic_elasticity, np.eye(3), 1.0, n_dirs=64)
     assert report.strongly_elliptic
     assert report.min_eigenvalue == pytest.approx(MU, abs=1e-10)
-    assert len(report.records) == 64 + 26
-    for r in report.records:
-        assert r.zero_multiplicity == 6
-        assert r.independent_count == 6
-        assert np.allclose(r.wave_speeds ** 2, r.acoustic_eigenvalues, atol=1e-10)
+    assert len(report.directions) == 64 + 26
+    assert np.all(report.zero_multiplicity == 6)
+    assert np.all(report.independent_count == 6)
+    assert np.allclose(report.speeds ** 2, report.eigenvalues, atol=1e-10)
 
 
 def test_scan_negative_shear_modulus_fails():
@@ -167,8 +166,8 @@ def test_scan_negative_shear_modulus_fails():
     assert not report.strongly_elliptic
     assert report.min_eigenvalue < 0.0
     # failed directions carry NaN speeds for the negative modes
-    worst = min(report.records, key=lambda r: r.min_eigenvalue)
-    assert np.isnan(worst.wave_speeds[-1])
+    worst = int(np.argmin(report.eigenvalues[:, -1]))
+    assert np.isnan(report.speeds[worst, -1])
 
 
 def test_stvk_compression_loses_ellipticity():
@@ -213,22 +212,21 @@ def test_scan_matches_per_direction_oracle(case):
     report = scan_directions(S4_at, F, rho)
     dirs = np.vstack([fibonacci_sphere(256), baseline_directions()])
     es = eigenstructure(flux_jacobian(S4, rho, dirs))
-    assert len(report.records) == len(dirs) == 282
-    for r, w, zm, ic, isv in zip(report.records, dirs, es.zero_multiplicity,
-                                 es.independent_count, es.independence_sv):
+    assert len(report.directions) == len(dirs) == 282
+    assert np.array_equal(report.directions, dirs)
+    for d, w in enumerate(dirs):
         mu, zero_mult, indep, margin = _direction_oracle(S4, rho, w)
         scale = max(1.0, float(np.abs(mu).max()))
-        assert np.array_equal(r.w, w)
-        assert np.abs(r.acoustic_eigenvalues - mu).max() <= 1e-13 * scale
-        assert r.min_eigenvalue == r.acoustic_eigenvalues[-1]
+        assert np.abs(report.eigenvalues[d] - mu).max() <= 1e-13 * scale
         speeds = np.sqrt(np.where(mu >= 0.0, mu, np.nan) / rho)
         real = ~np.isnan(speeds)
-        assert np.array_equal(np.isnan(r.wave_speeds), ~real)
-        assert np.all(np.abs(r.wave_speeds - speeds)[real] <= 1e-13 * np.sqrt(scale))
-        assert (r.zero_multiplicity, r.independent_count) == (zero_mult, indep) == (zm, ic)
-        assert abs(isv - margin) <= 1e-13
-    mins = [r.min_eigenvalue for r in report.records]
-    assert report.min_eigenvalue == min(mins)
+        assert np.array_equal(np.isnan(report.speeds[d]), ~real)
+        assert np.all(np.abs(report.speeds[d] - speeds)[real] <= 1e-13 * np.sqrt(scale))
+        assert ((report.zero_multiplicity[d], report.independent_count[d]) == (zero_mult, indep)
+                == (es.zero_multiplicity[d], es.independent_count[d]))
+        assert abs(es.independence_sv[d] - margin) <= 1e-13
+    mins = report.eigenvalues[:, -1]
+    assert report.min_eigenvalue == mins.min()
     assert np.array_equal(report.worst_direction, dirs[int(np.argmin(mins))])
     assert report.strongly_elliptic == (case not in ("stvk_compressed", "zero"))
 
@@ -254,16 +252,18 @@ def test_scan_with_a_tensor_velocity_coefficient(case):
     assert np.array_equal(report.V, V_TENSOR)
     dirs = np.vstack([fibonacci_sphere(256), baseline_directions()])
     es = eigenstructure(flux_jacobian(S4, V_TENSOR, dirs))
-    for r, w, zm, ic in zip(report.records, dirs, es.zero_multiplicity, es.independent_count):
+    assert np.array_equal(report.directions, dirs)
+    for w, eig, c in zip(dirs, report.eigenvalues, report.speeds):
         E = np.einsum("ijhk,j,k->ih", S4, w, w)
         eig_E = np.linalg.eigvalsh(E)[::-1]
-        assert np.abs(r.acoustic_eigenvalues - eig_E).max() <= 1e-13 * max(1.0, np.abs(eig_E).max())
+        assert np.abs(eig - eig_E).max() <= 1e-13 * max(1.0, np.abs(eig_E).max())
         mu = np.sort(np.linalg.eig(V_TENSOR @ E)[0].real)[::-1]
         tol = 1e-12 * np.maximum(1.0, np.abs(mu))
-        real = ~np.isnan(r.wave_speeds)
-        assert np.all(np.abs(r.wave_speeds[real] ** 2 - mu[real]) <= tol[real])
+        real = ~np.isnan(c)
+        assert np.all(np.abs(c[real] ** 2 - mu[real]) <= tol[real])
         assert np.all(mu[~real] < 0.0)
-        assert (r.zero_multiplicity, r.independent_count) == (zm, ic)
+    assert np.array_equal(report.zero_multiplicity, es.zero_multiplicity)
+    assert np.array_equal(report.independent_count, es.independent_count)
     assert report.strongly_elliptic == (case not in ("stvk_compressed", "zero"))
 
 
@@ -293,8 +293,8 @@ def test_scan_pairs_the_modes_at_a_singular_acoustic_tensor():
     # two nonzero +- pairs with two eigenvectors each, whatever roundoff leaves
     # in the zero eigenvalue
     report = scan_directions(linear_isotropic(2.0, -1.0).analytic_elasticity, np.eye(3), 1.0)
-    assert len(report.records) == 256 + 26
-    assert [r.independent_count for r in report.records] == [4] * 282
+    assert len(report.directions) == 256 + 26
+    assert report.independent_count.tolist() == [4] * 282
 
 
 def test_dense_reference_does_not_count_a_split_defective_zero():
@@ -305,8 +305,8 @@ def test_dense_reference_does_not_count_a_split_defective_zero():
     report = scan_directions(lambda _: S4, np.eye(3), 1.0)
     dirs = np.vstack([fibonacci_sphere(256), baseline_directions()])
     es = eigenstructure(flux_jacobian(S4, 1.0, dirs))
-    assert es.independent_count.tolist() == [r.independent_count for r in report.records]
-    assert es.zero_multiplicity.tolist() == [r.zero_multiplicity for r in report.records]
+    assert es.independent_count.tolist() == report.independent_count.tolist()
+    assert es.zero_multiplicity.tolist() == report.zero_multiplicity.tolist()
 
 
 def test_bisection_evaluates_each_stretch_once():

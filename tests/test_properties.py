@@ -180,8 +180,8 @@ def test_scan_classification_matches_the_dense_jacobian(se, D, V, A, n_dirs):
     mu = eig_sym(vroot @ acoustic_spectrum(S4, dirs)[0] @ vroot, vectors=False)
     keep = np.abs(mu).min(axis=-1) > 1e-6 * np.maximum(1.0, np.abs(mu).max(axis=-1))
     assume(keep.any())
-    for r, zm, ic, k in zip(report.records, es.zero_multiplicity, es.independent_count, keep):
-        assert not k or (r.zero_multiplicity, r.independent_count) == (zm, ic)
+    assert np.array_equal(report.zero_multiplicity[keep], es.zero_multiplicity[keep])
+    assert np.array_equal(report.independent_count[keep], es.independent_count[keep])
 
 
 def _conservation_models():
