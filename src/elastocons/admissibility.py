@@ -95,14 +95,8 @@ def draw_ellipticity_probes(n: int, rng: np.random.Generator):
 
 def default_shifts() -> list[np.ndarray]:
     """Deterministic momentum shifts for the invariance-defect check."""
-    shifts = [np.zeros(3)]
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        shifts += [e.copy(), -e]
-    shifts.append(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))
-    shifts.append(np.array([1.0, -2.0, 0.5]) / np.linalg.norm([1.0, -2.0, 0.5]))
-    return shifts
+    return ([np.zeros(3)] + [sign * e for e in EYE3 for sign in (1.0, -1.0)]
+            + [x / np.linalg.norm(x) for x in np.array([[1.0, 1.0, 1.0], [1.0, -2.0, 0.5]])])
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +196,7 @@ def check_parity(model: ConstitutiveModel, probes: State):
 # ---------------------------------------------------------------------------
 
 #: The report's rows, in order: (row, check, tolerance).  Thermo has two rows,
-#: the velocity and the stress residual, and one pass flag.
+#: the velocity and the stress residual, each with its own pass flag.
 ROWS = (
     ("normality", "normality", DEFAULT.normality_tol),
     ("ellipticity", "ellipticity", DEFAULT.ellipticity_tol),
@@ -218,15 +212,15 @@ ROWS = (
 class AdmissibilityReport:
     """Structured result of all six checks on one model.
 
-    ``results`` maps each check to its pass flag and ``values`` each row of
-    :data:`ROWS` to its value.  For normality and ellipticity the value is the
-    minimum |determinant| over probes and the check passes when the value
-    stays *above* its tolerance; for the remaining checks the value is a
-    residual that must stay *below* tolerance.
+    ``passes`` and ``values`` map each row of :data:`ROWS` to its pass flag and
+    value, and ``results`` each check to the ``all`` of its rows' flags.  For
+    normality and ellipticity the value is the minimum |determinant| over probes
+    and passes when it stays *above* its tolerance; for the remaining checks the
+    value is a residual that must stay *below* tolerance.
     """
 
     model_name: str
-    results: dict[str, bool]
+    passes: dict[str, bool]
     values: dict[str, float]
     probes: int = 0
     seed: int = 0
@@ -234,12 +228,17 @@ class AdmissibilityReport:
     representation: RepresentationResult | None = None  # fitted when every check passes
 
     @property
+    def results(self) -> dict[str, bool]:
+        return {check: all(self.passes[row] for row, c, _ in ROWS if c == check)
+                for _, check, _ in ROWS}
+
+    @property
     def passed(self) -> bool:
-        return all(self.results.values())
+        return all(self.passes.values())
 
     def rows(self):
         """(row, value, tolerance, pass) rows for CSV output."""
-        return [(row, self.values[row], tol, self.results[check]) for row, check, tol in ROWS]
+        return [(row, self.values[row], tol, self.passes[row]) for row, _, tol in ROWS]
 
     def as_text(self) -> str:
         lines = [f"model={self.model_name}", f"probes={self.probes}", f"seed={self.seed}"]
@@ -284,13 +283,14 @@ def full_report(model: ConstitutiveModel, n_probes: int = 100,
     for name, check in (("thermo", check_thermo), ("maxwell", check_maxwell),
                         ("galilean", check_galilean), ("parity", check_parity)):
         outcomes[name] = check(model, probes)
-    values = {name: value for name, (_, value) in outcomes.items()}
-    values["thermo_velocity"], values["thermo_stress"] = values.pop("thermo")
+    # thermo's velocity and stress residuals pass or fail on rows of their own
+    for row, value in zip(("thermo_velocity", "thermo_stress"), outcomes.pop("thermo")[1]):
+        outcomes[row] = value <= DEFAULT.thermo_tol, value
 
     report = AdmissibilityReport(
         model_name=model.name,
-        results={name: ok for name, (ok, _) in outcomes.items()},
-        values=values,
+        passes={row: ok for row, (ok, _) in outcomes.items()},
+        values={row: value for row, (_, value) in outcomes.items()},
         probes=n_probes, seed=seed, notes=notes,
     )
     if report.passed:
@@ -381,11 +381,7 @@ def initial_rate_check(model: ConstitutiveModel, A, B, a, b, c):
     with all derivatives of the velocity-eliminated stress map evaluated by
     central finite differences at (A, c).
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
+    A, B, a, b, c = (np.asarray(x, dtype=float) for x in (A, B, a, b, c))
     if abs(float(np.linalg.norm(a)) - 1.0) > 1e-12:
         raise NotUnit("direction a must be a unit vector")
 
@@ -397,9 +393,7 @@ def initial_rate_check(model: ConstitutiveModel, A, B, a, b, c):
     dSdv = fd_derivative(stress_at_velocity, State(A, c), "p")
 
     E = ellipticity_tensor(model, A, c, a)
-    F_dot = B.copy()
-    p_dot = np.einsum("ijk,kj->i", dSdv, B) + E @ b
-    return F_dot, p_dot
+    return B.copy(), np.einsum("ijk,kj->i", dSdv, B) + E @ b
 
 
 def find_dissipation_violation(model: ConstitutiveModel, probe: State):

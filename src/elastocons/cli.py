@@ -30,7 +30,6 @@ from .errors import ElastoconsError
 from .hyperbolicity import scan_directions
 from .solver import (Field, Grid, affine_initial_field, rest_field, run,
                      sine_wave_field)
-from .tensors import EYE3
 
 EXIT_OK = 0
 EXIT_ADMISSIBILITY = 2
@@ -69,20 +68,12 @@ def _say(cfg: RunConfig, msg: str):
         print(msg)
 
 
-def velocity_coefficient(cfg: RunConfig) -> np.ndarray:
-    """V = dv/dp of build_model(cfg), from the config: differencing the model
-    would give V = 0 for the normality control at p = 0."""
-    if cfg.model == "tensor" and cfg.corruption == "none":
-        return cfg.v_tensor
-    return EYE3 / cfg.rho
-
-
 def build_model(cfg: RunConfig) -> ConstitutiveModel:
     if cfg.corruption != "none":
         return corrupted_model(cfg.corruption, lam=cfg.lam, mu=cfg.mu, rho=cfg.rho)
     se = stored_energy_by_name(cfg.sigma, lam=cfg.lam, mu=cfg.mu)
     if cfg.model == "tensor":
-        return tensor_mass_model(velocity_coefficient(cfg), se)
+        return tensor_mass_model(cfg.v_tensor, se)
     return classical_model(cfg.rho, se)
 
 
@@ -106,8 +97,10 @@ def mode_admissibility(cfg: RunConfig, model: ConstitutiveModel) -> bool:
 
 
 def mode_hyperbolicity(cfg: RunConfig, model: ConstitutiveModel) -> bool:
-    report = scan_directions(elasticity_map(model), cfg.hyp_F, velocity_coefficient(cfg),
-                             n_dirs=cfg.n_dirs)
+    # a model that declares no V (only the normality and galilean controls) is scanned
+    # with V = I / rho: the normality control's dv/dp vanishes at p = 0
+    V = cfg.rho if model.V is None else model.V
+    report = scan_directions(elasticity_map(model), cfg.hyp_F, V, n_dirs=cfg.n_dirs)
     _write("hyperbolicity.csv", cfg,
            "w0,w1,w2,eig1,eig2,eig3,speed1,speed2,speed3,zero_multiplicity,independent_count\n",
            (HYP_ROW % row for row in report.rows()))

@@ -9,7 +9,7 @@ maps
     stress   (F, p) -> S          Piola stress, boundary flux of p
 
 together with optional analytic maps dS/dF, E(w) = (dS/dF)[., w, ., w] and the extreme
-eigenvalues of V^(1/2) E(w) V^(1/2) (V = dv/dp).  Every map takes
+eigenvalues of V^(1/2) E(w) V^(1/2), and the exact V = dv/dp.  Every map takes
 stacks of states F[..., 3, 3], p[..., 3] and returns one value per state;
 :func:`pointwise_model` loops callables written for one state at a time.
 Builders are provided for the representation
@@ -25,7 +25,7 @@ admissibility property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,8 +90,10 @@ class ConstitutiveModel:
     For states with leading shape L, energy returns L, velocity L + (3,), stress L + (3, 3),
     analytic_S4 (of F) L + (3, 3, 3, 3), analytic_acoustic (of F, w[d, 3]) L + (d, 3, 3) and
     acoustic_extremes (of F, w) L + (d, 2): lowest and highest eigenvalue of V^(1/2) E(w) V^(1/2).
-    Construction evaluates each map once on a two-state stack (and one direction) and
-    raises PreconditionFailure, naming the map, if it raises or returns another shape.
+    Construction evaluates each map once on the states F = I, p = 0, e_0, e_1, e_2 (and one
+    direction): PreconditionFailure, naming the map, if it raises or returns another shape.
+    V, when given, is the exact dv/dp, kept read-only.  It must be finite, symmetric and
+    invertible, and velocity(I, e_i) - velocity(I, 0) = V e_i to galilean_tol * max(1, |V|).
     """
 
     name: str
@@ -101,9 +103,10 @@ class ConstitutiveModel:
     analytic_S4: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_acoustic: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     acoustic_extremes: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    V: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
-        s = State(np.tile(EYE3, (2, 1, 1)), np.zeros((2, 3)))
+        s = State(np.tile(EYE3, (4, 1, 1)), np.vstack([np.zeros(3), EYE3]))
         maps = [("energy", self.energy, (s,), ()), ("velocity", self.velocity, (s,), (3,)),
                 ("stress", self.stress, (s,), (3, 3)),
                 ("analytic_S4", self.analytic_S4, (s.F,), (3, 3, 3, 3)),
@@ -113,14 +116,30 @@ class ConstitutiveModel:
             if fn is None:
                 continue
             try:
-                got = np.shape(fn(*args))
+                got = fn(*args)
             except Exception as exc:
+                raise PreconditionFailure(f"model {self.name}: {name} fails on a stack of "
+                                          f"four states ({exc!r})") from exc
+            if np.shape(got) != (4,) + shape:
                 raise PreconditionFailure(
-                    f"model {self.name}: {name} fails on a stack of two states ({exc!r})") from exc
-            if got != (2,) + shape:
-                raise PreconditionFailure(
-                    f"model {self.name}: {name} returns shape {got} for a stack of two "
-                    f"states, expected {(2,) + shape}; wrap pointwise maps in pointwise_model")
+                    f"model {self.name}: {name} returns shape {np.shape(got)} for a stack of four "
+                    f"states, expected {(4,) + shape}; wrap pointwise maps in pointwise_model")
+            if name == "velocity":
+                dv = (got[1:] - got[0]).T  # column i: velocity(I, e_i) - velocity(I, 0)
+        if self.V is None:
+            return
+        V = check_finite(self.V, "V").reshape(3, 3).copy()
+        if asymmetry(V) > DEFAULT.sym_tol:
+            raise NotSymmetric("velocity coefficient tensor V is not symmetric")
+        sv = np.linalg.svd(V, compute_uv=False)
+        if sv[-1] <= 1e-12 * sv[0]:
+            raise Singular("velocity coefficient tensor V is singular")
+        off = float(np.abs(dv - V).max())
+        if off > DEFAULT.galilean_tol * max(1.0, float(np.abs(V).max())):
+            raise PreconditionFailure(f"model {self.name}: velocity(I, e_i) - velocity(I, 0) "
+                                      f"differs from the declared V e_i by {off:.3e}")
+        V.setflags(write=False)
+        object.__setattr__(self, "V", V)
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +371,10 @@ def _pp(p) -> np.ndarray:
     return (p[..., None, :] @ p[..., :, None])[..., 0, 0]
 
 
-def _represented_model(name: str, V: np.ndarray, se: StoredEnergy,
+def _represented_model(name: str, V, se: StoredEnergy,
                        acoustic_extremes=None) -> ConstitutiveModel:
-    """The representation v = V p, tau = p . V p / 2 + sigma(F) with se's closed forms."""
-    VmT = V.T.copy()  # p @ VmT is V p for a single p or a stack
+    """The representation v = V p, tau = p . V p / 2 + sigma(F) with se's closed forms and V."""
+    VmT = np.ascontiguousarray(np.reshape(V, (3, 3)).T, dtype=float)  # p @ VmT is V p
     return ConstitutiveModel(
         name=name,
         energy=lambda s: 0.5 * (s.p * (s.p @ VmT)).sum(-1) + se.sigma(s.F),
@@ -363,7 +382,7 @@ def _represented_model(name: str, V: np.ndarray, se: StoredEnergy,
         stress=lambda s: se.analytic_stress(s.F),
         analytic_S4=se.analytic_elasticity,
         analytic_acoustic=se.analytic_acoustic,
-        acoustic_extremes=acoustic_extremes,
+        acoustic_extremes=acoustic_extremes, V=V,
     )
 
 
@@ -385,17 +404,7 @@ def classical_model(rho: float, se: StoredEnergy) -> ConstitutiveModel:
 
 
 def tensor_mass_model(V, se: StoredEnergy) -> ConstitutiveModel:
-    """Tensorial mass density: v = V p, tau = p . V p / 2 + sigma(F).
-
-    V must be symmetric (to the central symmetry tolerance) and invertible:
-    its smallest singular value above 1e-12 times its largest.
-    """
-    V = check_finite(V, "V").reshape(3, 3)
-    if asymmetry(V) > DEFAULT.sym_tol:
-        raise NotSymmetric("velocity coefficient tensor V is not symmetric")
-    sv = np.linalg.svd(V, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise Singular("velocity coefficient tensor V is singular")
+    """Tensorial mass density: v = V p, tau = p . V p / 2 + sigma(F), V symmetric, invertible."""
     return _represented_model(f"tensor_mass({se.name})", V, se)
 
 
@@ -511,7 +520,7 @@ def corrupted_model(kind: str, lam: float = 2.0, mu: float = 1.0,
         return ConstitutiveModel(
             name="control_thermo",
             energy=base.energy,
-            velocity=base.velocity,
+            velocity=base.velocity, V=base.V,
             stress=lambda s: 1.1 * stress(s.F),
             analytic_S4=None,
         )
@@ -521,7 +530,7 @@ def corrupted_model(kind: str, lam: float = 2.0, mu: float = 1.0,
         return ConstitutiveModel(
             name="control_maxwell",
             energy=base.energy,
-            velocity=base.velocity,
+            velocity=base.velocity, V=base.V,
             stress=lambda s: stress(s.F) + s.p[..., 0, None, None] * spike,
             analytic_S4=None,
         )
@@ -549,7 +558,7 @@ def corrupted_model(kind: str, lam: float = 2.0, mu: float = 1.0,
         return ConstitutiveModel(
             name="control_parity",
             energy=lambda s: base.energy(s) + s.p[..., 0],  # p . e1
-            velocity=lambda s: s.p / rho + e1,
+            velocity=lambda s: s.p / rho + e1, V=base.V,
             stress=base.stress,
             analytic_S4=se.analytic_elasticity,
         )

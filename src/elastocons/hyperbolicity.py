@@ -145,15 +145,14 @@ def eigenstructure(M) -> EigenStructure:
     The dense reference for the block classification of :func:`scan_directions`.
     An eigenvalue is nonzero when above the zero band and among the n - a largest in
     modulus, a the algebraic multiplicity of 0, so no rounding split of a defective zero is
-    a mode.  The other eigenvectors are masked to zero columns, so one SVD of the unit
-    eigenvector matrix counts the independent nonzero modes; with k of them its k-th
-    singular value is ``independence_sv``.
+    a mode.  One SVD of their eigenvectors (other columns zero) counts the independent
+    nonzero modes; with k nonzero eigenvalues its k-th singular value is ``independence_sv``.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
     svals = np.linalg.svd(M, compute_uv=False)
     threshold = DEFAULT.zero_band * svals[..., :1]
-    evals, evecs = eig_general(M)
+    evals = eig_general(M)[0]
     # algebraic multiplicity of 0 by staircase reduction (Golub & Wilkinson, SIAM Review 18
     # (1976) 578-619): deflate the numerical kernel until none is left.  Singular values,
     # unlike the eigenvalues of a Jordan block of size m (eps^(1/m) apart), do not split.
@@ -167,9 +166,18 @@ def eigenstructure(M) -> EigenStructure:
         P = np.eye(n) - K @ K.swapaxes(-1, -2)
     by_modulus = np.argsort(np.argsort(-np.abs(evals), axis=-1), axis=-1)
     nonzero = (np.abs(evals) > threshold) & (by_modulus < n - zeros[..., None])
-    unit = evecs / np.linalg.norm(evecs, axis=-2, keepdims=True)
-    unit *= nonzero[..., None, :]
-    sv = np.linalg.svd(unit, compute_uv=False)
+    # the j-th copy of a nonzero eigenvalue (copies: within the zero band of the first, lam)
+    # takes the j-th smallest right singular vector of M - lam I while that singular value is
+    # in the zero band, else the smallest: a repeated eigenvalue gets orthonormal eigenvectors
+    # where LAPACK's may be nearly parallel, and a split Jordan block repeats its eigenvector
+    near = (np.abs(evals[..., :, None] - evals[..., None, :]) <= threshold[..., None]) \
+        & nonzero[..., None, :]
+    first = np.take_along_axis(evals, np.argmax(near, axis=-1), -1)
+    _, s, vh = np.linalg.svd(M[..., None, :, :] - first[..., :, None, None] * np.eye(n))
+    pick = n - 1 - np.sum(np.tril(near, -1), axis=-1)[..., None]  # [..., eigenvalue, 1]
+    pick = np.where(np.take_along_axis(s, pick, -1) <= threshold[..., None], pick, n - 1)
+    evecs = np.take_along_axis(vh, pick[..., None], -2)[..., 0, :].conj().swapaxes(-1, -2)
+    sv = np.linalg.svd(evecs * nonzero[..., None, :], compute_uv=False)
     kth = np.maximum(nonzero.sum(axis=-1) - 1, 0)[..., None]
     return EigenStructure(
         zero_multiplicity=n - np.sum(svals > threshold, axis=-1),

@@ -116,11 +116,12 @@ def flux(model: ConstitutiveModel, U: State):
 def _velocity_coefficient_root(model: ConstitutiveModel, F, p) -> np.ndarray:
     """Symmetric square root of the velocity coefficient N = d(velocity)/dp.
 
-    The solver needs N to be one state-independent symmetric positive tensor,
-    which holds for models that pass normality and Galilean invariance.  N is
-    evaluated at every state of (F, p); PreconditionFailure is raised when it
-    varies by more than galilean_tol * max(1, |N|).
+    N is the model's declared V when it has one.  Else it is differenced at every
+    state of (F, p), and PreconditionFailure is raised when it varies by more than
+    galilean_tol * max(1, |N|): the solver needs one state-independent N.
     """
+    if model.V is not None:
+        return velocity_coefficient_root(model.V)
     N = fd_velocity_jacobian(model, np.reshape(F, (-1, 3, 3)), np.reshape(p, (-1, 3)))
     spread = float((N.max(axis=0) - N.min(axis=0)).max())
     if spread > DEFAULT.galilean_tol * max(1.0, float(np.abs(N).max())):
@@ -286,7 +287,7 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
     Every step recomputes the wave speeds of every cell and takes exactly
     dt = cfl / sum_a (max c_a / h_a), with no safety factor.  Raises Blowup
     when any state norm exceeds 1e12 or a value goes non-finite, and
-    PreconditionFailure when d(velocity)/dp varies across the initial field.
+    PreconditionFailure when a model without V has d(velocity)/dp varying across the field.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -401,16 +402,11 @@ def measure_wave_speed(profile0, profile1, elapsed: float, length: float,
     refinement of the correlation peak); ``expected_speed`` only selects the
     number of full periodic wraps, the measurement itself comes from the lag.
     """
-    p0 = np.asarray(profile0, dtype=float)
-    p1 = np.asarray(profile1, dtype=float)
-    n = p0.size
-    a = p0 - p0.mean()
-    b = p1 - p1.mean()
-    corr = np.fft.irfft(np.fft.rfft(b) * np.conj(np.fft.rfft(a)), n)
+    a, b = (np.asarray(x, dtype=float) for x in (profile0, profile1))
+    n = a.size
+    corr = np.fft.irfft(np.fft.rfft(b - b.mean()) * np.conj(np.fft.rfft(a - a.mean())), n)
     k0 = int(np.argmax(corr))
-    cm = corr[(k0 - 1) % n]
-    cc = corr[k0]
-    cp = corr[(k0 + 1) % n]
+    cm, cc, cp = corr[(k0 - 1) % n], corr[k0], corr[(k0 + 1) % n]
     denom = cm - 2.0 * cc + cp
     delta = 0.0 if denom == 0.0 else 0.5 * (cm - cp) / denom
     shift_cells = k0 + delta

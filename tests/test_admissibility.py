@@ -257,14 +257,18 @@ def test_report_rows_carry_their_tolerance_and_agree_with_their_flags():
                tensor_mass_model(np.diag([0.5, 1.25, 2.0]), neo_hookean(LAM, MU))]
               + [corrupted_model(kind) for kind in NEGATIVE_CONTROL_EXPECTATIONS])
     for m in models:
-        rows = full_report(m, n_probes=30, seed=SEED).rows()
+        report = full_report(m, n_probes=30, seed=SEED)
+        rows = report.rows()
         assert [(name, tol) for name, _, tol, _ in rows] == list(zip(names, tols))
         for name, value, tol, ok in rows[:2]:  # a minimum |det| stays above (NaN fails)
             assert ok is (value > tol), (m.name, name, value)
-        for name, value, tol, ok in rows[4:]:  # a residual stays at or below
+        for name, value, tol, ok in rows[2:]:  # a residual stays at or below, row by row
             assert ok is (value <= tol), (m.name, name, value)
-        (_, res_v, tol, ok_v), (_, res_S, _, ok_S) = rows[2:4]
-        assert ok_v is ok_S is (res_v <= tol and res_S <= tol), m.name
+        flags = {name: ok for name, _, _, ok in rows}
+        thermo = flags.pop("thermo_velocity"), flags.pop("thermo_stress")
+        assert report.results == {**flags, "thermo": all(thermo)}, m.name
+        if m.name in ("control_thermo", "control_maxwell"):  # the stress residual fails alone
+            assert thermo == (True, False), m.name
 
 
 def test_representation_recovers_hidden_tensor():

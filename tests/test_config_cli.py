@@ -7,9 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from elastocons import (RunConfig, elasticity_map, load_config, parse_config, scan_directions,
-                        st_venant_kirchhoff, tensor_mass_model)
-from elastocons.cli import main
+from elastocons import (RunConfig, elasticity_map, load_config, parse_config,
+                        scan_directions)
+from elastocons.cli import build_model, main
 from elastocons.config import SCHEMA
 from elastocons.errors import ParseError, ValidationError
 
@@ -137,6 +137,18 @@ def test_cli_all_happy_path(tmp_path):
         assert "representation_split_pass=true" in fh.read().splitlines()
 
 
+def _admissibility_rows(out):
+    """admissibility.csv of an output directory as {row: (value, tolerance, pass)}."""
+    rows = {}
+    with open(os.path.join(out, "admissibility.csv"), encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("#") or line.startswith("check"):
+                continue
+            name, value, tol, ok = line.strip().split(",")
+            rows[name] = (float(value), float(tol), ok == "true")
+    return rows
+
+
 def test_cli_parity_corruption_fails_admissibility(tmp_path):
     tmp = str(tmp_path)
     text = FAST_ALL.replace("sigma = linear_isotropic",
@@ -145,16 +157,30 @@ def test_cli_parity_corruption_fails_admissibility(tmp_path):
     out = os.path.join(tmp, "out")
     code = main(["--config", cfgp, "--mode", "admissibility", "--out", out, "--quiet"])
     assert code == 2
-    rows = {}
-    with open(os.path.join(out, "admissibility.csv"), encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#") or line.startswith("check"):
-                continue
-            name, value, tol, ok = line.strip().split(",")
-            rows[name] = (float(value), float(tol), ok == "true")
+    rows = _admissibility_rows(out)
     assert rows["parity"][2] is False
     assert rows["parity"][0] > rows["parity"][1]  # residual above tolerance
     assert rows["thermo_velocity"][2] is True
+
+
+def test_cli_maxwell_control_fails_the_thermo_stress_row_alone(tmp_path, capsys):
+    # a Maxwell violation forces a thermo one, through the stress residual only:
+    # the velocity residual's row passes on its own flag
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, FAST_ALL.replace("sigma = linear_isotropic",
+                                        "sigma = linear_isotropic\ncorruption = maxwell"))
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--mode", "admissibility", "--out", out]) == 2
+    rows = _admissibility_rows(out)
+    assert [name for name, (_, _, ok) in rows.items() if not ok] == ["thermo_stress", "maxwell"]
+    res_v, tol, _ = rows["thermo_velocity"]
+    assert res_v <= tol < rows["thermo_stress"][0]
+    failed = [line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()
+              if line.startswith("  failed")]
+    assert failed == ["failed thermo_stress", "failed maxwell"]
+    with open(os.path.join(out, "admissibility.txt"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "thermo_velocity_pass=true\n" in text and "thermo_stress_pass=false\n" in text
 
 
 def test_cli_negative_shear_fails_hyperbolicity(tmp_path):
@@ -350,8 +376,9 @@ def test_cli_hyperbolicity_csv_is_the_scan(tmp_path):
         table = np.array([[float(x) for x in line.split(",")] for line in fh.read().splitlines()
                           if not line.startswith("#") and not line.startswith("w0")])
     cfg = load_config(cfgp)
-    model = tensor_mass_model(V_TENSOR, st_venant_kirchhoff(2.0, 1.0))
-    report = scan_directions(elasticity_map(model), cfg.hyp_F, cfg.v_tensor, n_dirs=cfg.n_dirs)
+    m = build_model(cfg)
+    assert m.name == "tensor_mass(stvk)" and np.array_equal(m.V, V_TENSOR)
+    report = scan_directions(elasticity_map(m), cfg.hyp_F, m.V, n_dirs=cfg.n_dirs)
     assert np.isnan(report.speeds).any()
     expected = np.column_stack([report.directions, report.eigenvalues, report.speeds,
                                 report.zero_multiplicity, report.independent_count])

@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from elastocons import (State, classical_model,
-                        fd_elasticity_tensor, fd_stress, linear_isotropic,
-                        momentum_from_velocity, neo_hookean,
-                        st_venant_kirchhoff, stored_energy_registry,
+from elastocons import (ConstitutiveModel, State, classical_model, corrupted_model,
+                        draw_states, fd_elasticity_tensor, fd_stress, fd_velocity_jacobian,
+                        linear_isotropic, momentum_from_velocity, neo_hookean,
+                        pointwise_model, st_venant_kirchhoff, stored_energy_registry,
                         tensor_mass_model)
 from elastocons.constitutive import zero_energy
-from elastocons.errors import DomainError, NotSymmetric, Singular
+from elastocons.errors import DomainError, NotSymmetric, PreconditionFailure, Singular
 
 LAM, MU = 2.0, 1.0
 EPS = np.finfo(float).eps
@@ -96,6 +98,40 @@ def test_tensor_model_input_validation():
     np.testing.assert_array_equal(m.velocity(State(np.eye(3), np.ones(3))), [1e-5] * 3)
     with pytest.raises(ValueError):
         classical_model(-1.0, se)
+
+
+def _declaring_models():
+    """Every shipped model that declares its V: registry x classical/tensor, three controls."""
+    V = np.array([[0.8, 0.3, 0.1], [0.3, 1.4, -0.2], [0.1, -0.2, 0.6]])
+    return ([classical_model(1.5, se) for se in stored_energy_registry(LAM, MU)]
+            + [tensor_mass_model(V, se) for se in stored_energy_registry(LAM, MU)]
+            + [corrupted_model(kind, rho=1.5) for kind in ("thermo", "maxwell", "parity")])
+
+
+def test_declared_velocity_coefficient_matches_the_velocity_map():
+    probes = draw_states(50, np.random.default_rng(5))
+    for m in _declaring_models():
+        assert m.V.shape == (3, 3) and not m.V.flags.writeable, m.name
+        N = fd_velocity_jacobian(m, probes.F, probes.p)
+        assert np.abs(N - m.V).max() <= 1e-9, m.name
+        hash(m)  # V is left out of equality, so models stay hashable
+    np.testing.assert_array_equal(classical_model(1.5, neo_hookean(LAM, MU)).V, np.eye(3) / 1.5)
+    se = linear_isotropic(LAM, MU)
+    undeclared = [corrupted_model("normality"), corrupted_model("galilean"),
+                  pointwise_model("pointwise", lambda s: 0.5 * s.p @ s.p + se.sigma(s.F),
+                                  lambda s: s.p, lambda s: se.analytic_stress(s.F))]
+    assert all(m.V is None for m in undeclared)
+
+
+def test_construction_refuses_a_declared_V_the_velocity_map_does_not_have():
+    se = linear_isotropic(LAM, MU)
+    with pytest.raises(PreconditionFailure, match="declared V"):
+        ConstitutiveModel(name="half", energy=lambda s: 0.25 * (s.p * s.p).sum(-1),
+                          velocity=lambda s: 0.5 * s.p, stress=lambda s: se.analytic_stress(s.F),
+                          V=np.eye(3))
+    # a replaced velocity map keeps the declaration, and is checked against it
+    with pytest.raises(PreconditionFailure, match="declared V"):
+        dataclasses.replace(classical_model(2.0, se), velocity=lambda s: s.p)
 
 
 def test_momentum_from_velocity_classical():

@@ -189,10 +189,16 @@ def _direction_oracle(S4, rho, w):
     svals = np.linalg.svd(M, compute_uv=False)
     band = DEFAULT.zero_band * svals[0]
     lam, vecs = np.linalg.eig(M)
-    keep = vecs[:, np.abs(lam) > band]
-    if keep.shape[1] == 0:
+    # an orthonormal basis per eigenspace: LAPACK's eigenvectors of a repeated eigenvalue
+    # are one basis of many, and the margin is a property of the span
+    spaces = {}
+    for i in np.flatnonzero(np.abs(lam) > band):
+        first = next((k for k in spaces if abs(lam[k] - lam[i]) <= band), i)
+        spaces.setdefault(first, []).append(i)
+    if not spaces:
         return mu, 12 - int(np.sum(svals > band)), 0, 0.0
-    sv = np.linalg.svd(keep / np.linalg.norm(keep, axis=0), compute_uv=False)
+    keep = np.hstack([np.linalg.qr(vecs[:, space])[0] for space in spaces.values()])
+    sv = np.linalg.svd(keep, compute_uv=False)
     return mu, 12 - int(np.sum(svals > band)), int(np.sum(sv > DEFAULT.indep_sv_tol)), sv[-1]
 
 
@@ -307,6 +313,22 @@ def test_dense_reference_does_not_count_a_split_defective_zero():
     es = eigenstructure(flux_jacobian(S4, 1.0, dirs))
     assert es.independent_count.tolist() == report.independent_count.tolist()
     assert es.zero_multiplicity.tolist() == report.zero_multiplicity.tolist()
+
+
+def test_dense_reference_counts_a_repeated_eigenvalue_whatever_the_rounding():
+    # the double shear eigenvalue of isotropic elasticity: in the frame of Q the tensor is
+    # the same up to rounding, yet along two cube diagonals LAPACK's two eigenvectors for
+    # it are nearly parallel (singular value 4e-7); the eigenspace is not
+    A = np.array([[0.0, -0.20739016789880593, 1.0], [0.9559756208213863, -0.7548206441257657, 0.0],
+                  [0.57933034089279, 0.0, 0.0]])
+    Q, R = np.linalg.qr(A)
+    Q = Q * np.sign(np.diag(R))
+    S4 = linear_isotropic(LAM, MU).analytic_elasticity(np.eye(3))
+    rotated = np.einsum("ai,bj,ch,dk,abcd->ijhk", Q, Q, Q, Q, S4)
+    es, ref = (eigenstructure(flux_jacobian(S, 8.965733765739847, baseline_directions()))
+               for S in (rotated, S4))
+    assert es.independent_count.tolist() == ref.independent_count.tolist() == [6] * 26
+    assert np.abs(es.independence_sv - ref.independence_sv).max() <= 1e-12
 
 
 def test_bisection_evaluates_each_stretch_once():

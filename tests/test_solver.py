@@ -316,6 +316,37 @@ def test_3d_time_step_with_coupled_velocity_coefficient():
     assert step_lax_friedrichs(m, fld, cfl).t == pytest.approx(cfl / denom, rel=1e-9)
 
 
+def _random_box_field():
+    """A random 3-D field of 9^3 cells, more than one CELL_BLOCK."""
+    rng = np.random.default_rng(13)
+    grid = Grid.box(9)
+    return Field(grid=grid, F=np.eye(3) + rng.uniform(-0.15, 0.15, grid.cells + (3, 3)),
+                 p=rng.uniform(-0.5, 0.5, grid.cells + (3,)))
+
+
+def test_the_solver_scales_speeds_by_the_root_of_the_declared_V():
+    # dv/dp differenced at these momenta carries the rounding of p +- h; the declared
+    # V = I / 1.5 does not
+    fld = _random_box_field()
+    for se in stored_energy_registry(LAM, MU):
+        vroot = solver._velocity_coefficient_root(classical_model(1.5, se), fld.F, fld.p)
+        assert np.array_equal(vroot, velocity_coefficient_root(np.eye(3) / 1.5))
+    vroot = solver._velocity_coefficient_root(tensor_mass_model(V_COUPLED, neo_hookean(LAM, MU)),
+                                              fld.F, fld.p)
+    assert np.array_equal(vroot, velocity_coefficient_root(V_COUPLED))
+
+
+@pytest.mark.parametrize("d", [np.eye(3)[0], np.eye(3)[1]], ids=["longitudinal", "transverse"])
+def test_parity_control_has_the_plane_wave_speed_of_its_base_model(d):
+    # v = p / rho + e_1 has the V of the classical model; the S4 contraction of the
+    # control and the closed-form E(w) of the classical model agree bit for bit
+    base = classical_model(1.5, linear_isotropic(LAM, MU))
+    parity = corrupted_model("parity", LAM, MU, rho=1.5)
+    assert parity.analytic_acoustic is None
+    assert plane_wave_speed(parity, np.eye(3), np.eye(3)[0], d) == \
+        plane_wave_speed(base, np.eye(3), np.eye(3)[0], d)
+
+
 @pytest.mark.parametrize("build", [lambda se: classical_model(1.5, se),
                                    lambda se: tensor_mass_model(V_COUPLED, se)],
                          ids=["classical", "tensor_mass"])
@@ -326,15 +357,9 @@ def test_closed_form_and_contracted_S4_give_the_same_speeds_and_step(build):
     assert (m.acoustic_extremes is None) == (m.name.startswith("tensor_mass"))
     eig = dataclasses.replace(m, acoustic_extremes=None)
     fallback = dataclasses.replace(eig, analytic_acoustic=None)
-    rng = np.random.default_rng(13)
-    grid = Grid.box(9)
-    assert np.prod(grid.cells) > CELL_BLOCK
-    fld = Field(grid=grid, F=np.eye(3) + rng.uniform(-0.15, 0.15, grid.cells + (3, 3)),
-                p=rng.uniform(-0.5, 0.5, grid.cells + (3,)))
-    # V^(1/2) from V itself: the one differenced at these momenta is off by 1e-12, which
-    # the eig_sym paths would carry and the closed form (exact V = I / rho) would not
-    V = m.velocity(State(np.tile(np.eye(3), (3, 1, 1)), np.eye(3)))
-    vroot = velocity_coefficient_root(V)
+    fld = _random_box_field()
+    assert np.prod(fld.grid.cells) > CELL_BLOCK
+    vroot = velocity_coefficient_root(m.V)
     c_ref = _cell_speeds(fallback, fld, vroot)
     dt_ref = step_lax_friedrichs(fallback, fld, 0.9).t
     for x in (m, eig):
