@@ -26,7 +26,7 @@ print("  sample direction", report.directions[0], "-> eigenvalues", report.eigen
 w = np.array([1.0, 0.0, 0.0])
 M = flux_jacobian(iso.analytic_elasticity(np.eye(3)), 1.0, w)
 es = eigenstructure(M)
-lams = np.sort([l.real for l, _ in es.nonzero_pairs])
+lams = np.sort(es.eigenvalues[es.nonzero].real)
 print("\n12x12 flux Jacobian along e1:")
 print("  zero eigenvalue multiplicity:", es.zero_multiplicity)
 print("  nonzero eigenvalues:", lams, " (three +- speed pairs)")

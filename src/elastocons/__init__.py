@@ -32,11 +32,10 @@ from .admissibility import (AdmissibilityReport, RepresentationResult,
                             draw_ellipticity_probes, draw_states,
                             extract_representation, find_dissipation_violation,
                             full_report, initial_rate_check)
-from .hyperbolicity import (AcousticTensor, HyperbolicityReport, acoustic_map,
-                            acoustic_spectrum, acoustic_tensor, baseline_directions,
-                            eigenstructure, ellipticity_loss_bisection,
-                            fibonacci_sphere, flux_jacobian,
-                            min_acoustic_eigenvalue, scan_directions)
+from .hyperbolicity import (HyperbolicityReport, acoustic_map, acoustic_tensor,
+                            baseline_directions, eigenstructure,
+                            ellipticity_loss_bisection, fibonacci_sphere,
+                            flux_jacobian, scan_directions)
 from .solver import (Field, Grid, MonitorTrace, affine_initial_field,
                      dissipation_residual, flux, involution_residual,
                      measure_wave_speed, plane_wave_speed, rest_field, run,

@@ -57,53 +57,27 @@ def velocity_coefficient_root(V) -> np.ndarray:
     return (evecs * np.sqrt(evals)) @ evecs.T
 
 
-def _contraction(w):
-    """The map S4[..., 3, 3, 3, 3] -> E(w), shaped S4.shape[:-4] + w.shape[:-1] + (3, 3)."""
-    w2 = np.reshape(w, (-1, 3)).astype(float)
+def acoustic_tensor(S4, w) -> np.ndarray:
+    """E(w) of every S4[..., 3, 3, 3, 3] along every unit direction w[..., 3].
+
+    Returns E shaped S4.shape[:-4] + w.shape[:-1] + (3, 3); NotUnit unless |w| = 1.
+    """
+    w = _require_unit(w)
+    w2 = w.reshape(-1, 3)
     # K[j, h, k, d, b] = w_dj delta_hb w_dk: one matrix product with the rows
     # S4[..., a, (j, h, k)] gives every E(w_d)[a, b], exactly for basis w_d
     K = np.einsum("dj,hb,dk->jhkdb", w2, EYE3, w2).reshape(27, -1)
-
-    def contract(S4):
-        lead = np.shape(S4)[:-4]
-        E = (np.asarray(S4, dtype=float).reshape(-1, 27) @ K).reshape(lead + (3, len(w2), 3))
-        return E.swapaxes(-3, -2).reshape(lead + np.shape(w)[:-1] + (3, 3))
-    return contract
+    lead = np.shape(S4)[:-4]
+    E = (np.asarray(S4, dtype=float).reshape(-1, 27) @ K).reshape(lead + (3, len(w2), 3))
+    return E.swapaxes(-3, -2).reshape(lead + w.shape[:-1] + (3, 3))
 
 
 def acoustic_map(model, w):
     """F -> E(w_d)[..., d, 3, 3] for directions w[d, 3]: analytic_acoustic, or S4 w w."""
     if model.analytic_acoustic is not None:
         return lambda F: model.analytic_acoustic(F, w)
-    S4_of, contract = elasticity_map(model), _contraction(w)
-    return lambda F: contract(S4_of(F))
-
-
-def acoustic_spectrum(S4, w, vectors: bool = False):
-    """E(w) of every S4[..., 3, 3, 3, 3] along every direction w[..., 3], and its spectrum.
-
-    Returns E, shaped S4.shape[:-4] + w.shape[:-1] + (3, 3), and the
-    descending :func:`eig_sym` spectrum (with eigenvectors if ``vectors``).
-    """
-    E = _contraction(w)(S4)
-    return E, eig_sym(E, vectors=vectors)
-
-
-@dataclass
-class AcousticTensor:
-    """Acoustic tensor for one propagation direction, with eigensystem."""
-
-    w: np.ndarray
-    E: np.ndarray
-    eigenvalues: np.ndarray   # descending
-    eigenvectors: np.ndarray  # columns, matching eigenvalues
-
-
-def acoustic_tensor(S4, w) -> AcousticTensor:
-    """Assemble and diagonalize E(w) from the elasticity tensor."""
-    w = _require_unit(np.reshape(w, 3))
-    E, (evals, evecs) = acoustic_spectrum(S4, w, vectors=True)
-    return AcousticTensor(w=w, E=E, eigenvalues=evals, eigenvectors=evecs)
+    S4_of = elasticity_map(model)
+    return lambda F: acoustic_tensor(S4_of(F), w)
 
 
 def _c_block(S4, w) -> np.ndarray:
@@ -134,19 +108,20 @@ class EigenStructure:
 
     zero_multiplicity: int          # 12 - rank, by singular-value threshold
     eigenvalues: np.ndarray         # all 12, complex
-    nonzero_pairs: list | None      # (eigenvalue, eigenvector) above the zero band, one matrix
+    nonzero: np.ndarray             # mask of the eigenvalues that are modes, not zero
     independent_count: int          # rank of the stacked nonzero eigenvectors
     independence_sv: float          # smallest singular value of that stack
 
 
 def eigenstructure(M) -> EigenStructure:
-    """Zero multiplicity (geometric, via rank) and nonzero eigenpairs of M[..., n, n].
+    """Zero multiplicity (geometric, via rank) and the nonzero eigenvalues of M[..., n, n].
 
     The dense reference for the block classification of :func:`scan_directions`.
-    An eigenvalue is nonzero when above the zero band and among the n - a largest in
-    modulus, a the algebraic multiplicity of 0, so no rounding split of a defective zero is
-    a mode.  One SVD of their eigenvectors (other columns zero) counts the independent
-    nonzero modes; with k nonzero eigenvalues its k-th singular value is ``independence_sv``.
+    An eigenvalue is nonzero (the mask ``nonzero``) when above the zero band and among the
+    n - a largest in modulus, a the algebraic multiplicity of 0, so no rounding split of a
+    defective zero is a mode.  One SVD of their eigenvectors (other columns zero) counts the
+    independent nonzero modes; with k nonzero eigenvalues its k-th singular value is
+    ``independence_sv``.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[-1]
@@ -173,7 +148,10 @@ def eigenstructure(M) -> EigenStructure:
     near = (np.abs(evals[..., :, None] - evals[..., None, :]) <= threshold[..., None]) \
         & nonzero[..., None, :]
     first = np.take_along_axis(evals, np.argmax(near, axis=-1), -1)
-    _, s, vh = np.linalg.svd(M[..., None, :, :] - first[..., :, None, None] * np.eye(n))
+    # only a nonzero eigenvalue's M - lam I is factored; the other rows stay zero
+    s, vh = np.zeros(nonzero.shape + (n,)), np.zeros(nonzero.shape + (n, n), first.dtype)
+    _, s[nonzero], vh[nonzero] = np.linalg.svd(
+        M[np.nonzero(nonzero)[:-1]] - first[nonzero][:, None, None] * np.eye(n))
     pick = n - 1 - np.sum(np.tril(near, -1), axis=-1)[..., None]  # [..., eigenvalue, 1]
     pick = np.where(np.take_along_axis(s, pick, -1) <= threshold[..., None], pick, n - 1)
     evecs = np.take_along_axis(vh, pick[..., None], -2)[..., 0, :].conj().swapaxes(-1, -2)
@@ -182,8 +160,7 @@ def eigenstructure(M) -> EigenStructure:
     return EigenStructure(
         zero_multiplicity=n - np.sum(svals > threshold, axis=-1),
         eigenvalues=evals,
-        nonzero_pairs=([(evals[i], evecs[:, i]) for i in np.flatnonzero(nonzero)]
-                       if M.ndim == 2 else None),
+        nonzero=nonzero,
         independent_count=np.sum(sv > DEFAULT.indep_sv_tol, axis=-1),
         independence_sv=np.take_along_axis(sv, kth, axis=-1)[..., 0],
     )
@@ -252,7 +229,8 @@ def scan_directions(S4_at, F, V, n_dirs: int = 256) -> HyperbolicityReport:
     S4 = np.asarray(S4_at(np.asarray(F, dtype=float)), dtype=float)
     dirs = np.vstack([fibonacci_sphere(n_dirs), baseline_directions()])
 
-    E, evals = acoustic_spectrum(S4, dirs)
+    E = acoustic_tensor(S4, dirs)
+    evals = eig_sym(E, vectors=False)
     mu = eig_sym(vroot @ E @ vroot, vectors=False)
     sv_V = np.linalg.svd(V, compute_uv=False)
     sv_C = np.linalg.svd(_c_block(S4, dirs), compute_uv=False)
@@ -275,11 +253,6 @@ def scan_directions(S4_at, F, V, n_dirs: int = 256) -> HyperbolicityReport:
     )
 
 
-def min_acoustic_eigenvalue(S4, dirs) -> float:
-    """Smallest acoustic eigenvalue over a direction set."""
-    return float(acoustic_spectrum(S4, _require_unit(dirs))[1].min())
-
-
 def ellipticity_loss_bisection(S4_at, s_lo: float, s_hi: float, n_dirs: int = 64) -> float:
     """Locate the uniform-stretch level where strong ellipticity is lost.
 
@@ -289,7 +262,8 @@ def ellipticity_loss_bisection(S4_at, s_lo: float, s_hi: float, n_dirs: int = 64
     dirs = np.vstack([fibonacci_sphere(n_dirs), baseline_directions()])
 
     def g(s):
-        return min_acoustic_eigenvalue(S4_at(s * np.eye(3)), dirs)
+        E = acoustic_tensor(S4_at(s * np.eye(3)), dirs)
+        return float(eig_sym(E, vectors=False).min())
 
     g_lo, g_hi = g(s_lo), g(s_hi)
     if g_lo * g_hi > 0:

@@ -22,7 +22,7 @@ import numpy as np
 from .constitutive import (ConstitutiveModel, State, fd_velocity_jacobian,
                            momentum_from_velocity)
 from .errors import Blowup, NonHyperbolicState, PreconditionFailure
-from .hyperbolicity import acoustic_map, velocity_coefficient_root
+from .hyperbolicity import _require_unit, acoustic_map, velocity_coefficient_root
 from .tensors import EYE3, eig_sym, outer
 from .tolerances import DEFAULT
 
@@ -354,10 +354,11 @@ def affine_initial_field(model: ConstitutiveModel, grid: Grid, A, B, a, b, c,
 
 
 def plane_wave_speed(model: ConstitutiveModel, F0, w, d) -> float:
-    """Characteristic speed of the acoustic mode closest to polarization d."""
+    """Characteristic speed along unit w of the acoustic mode closest to polarization d."""
     F0 = np.asarray(F0, dtype=float)
+    w = _require_unit(np.reshape(w, (1, 3)))
     vroot = _velocity_coefficient_root(model, F0, np.zeros(3))
-    evals, evecs = eig_sym(vroot @ acoustic_map(model, np.reshape(w, (1, 3)))(F0)[0] @ vroot)
+    evals, evecs = eig_sym(vroot @ acoustic_map(model, w)(F0)[0] @ vroot)
     if float(evals.min()) < 0.0:
         raise NonHyperbolicState("no real wave speed: acoustic tensor indefinite")
     pick = int(np.argmax(np.abs(evecs.T @ np.asarray(d, dtype=float))))

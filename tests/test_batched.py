@@ -5,7 +5,7 @@ import pytest
 from field_fixtures import gradient_field_3d
 
 from elastocons import (ConstitutiveModel, State, acoustic_tensor, classical_model,
-                        corrupted_model, elasticity_map, momentum_from_velocity,
+                        corrupted_model, eig_sym, elasticity_map, momentum_from_velocity,
                         neo_hookean, pointwise_model, run, step_lax_friedrichs,
                         stored_energy_registry, tensor_mass_model)
 from elastocons.constitutive import CORRUPTION_KINDS
@@ -135,7 +135,7 @@ def test_3d_time_step_uses_exact_speeds_every_step():
         denom = 0.0
         for ax in range(3):
             w = np.eye(3)[ax]
-            c_max = max(np.sqrt(acoustic_tensor(S4_of(fld.F[c]), w).eigenvalues[0])
+            c_max = max(np.sqrt(eig_sym(acoustic_tensor(S4_of(fld.F[c]), w), vectors=False)[0])
                         for c in np.ndindex(*fld.grid.cells))
             denom += c_max / fld.grid.h[ax]
         dt = min(cfl / denom, t_end - fld.t)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from elastocons import (Field, Grid, State, acoustic_spectrum, baseline_directions,
+from elastocons import (Field, Grid, State, acoustic_tensor, baseline_directions,
                         classical_model, corrupted_model, eig_sym, eigenstructure,
                         elasticity_map, fd_derivative, fibonacci_sphere, flux_jacobian,
                         linear_isotropic, momentum_from_velocity, neo_hookean,
@@ -25,7 +25,8 @@ MODELS = [build(se) for se in stored_energy_registry(LAM, MU)
           for build in (lambda se: classical_model(1.5, se),
                         lambda se: tensor_mass_model(V_TENSOR, se))]
 CONTROLS = [corrupted_model(kind, LAM, MU) for kind in CORRUPTION_KINDS]
-PROPERTY = settings(max_examples=30, deadline=None)
+# derandomized: the same examples on every run, and no example database to replay
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
 
 
 def _entries(lo, hi):
@@ -107,9 +108,14 @@ def test_elasticity_major_symmetry_and_symmetric_acoustic_tensor(se, F, w):
     S4 = se.analytic_elasticity(F)
     scale = max(1.0, float(np.abs(S4).max()))
     assert np.abs(S4 - np.einsum("...ijhk->...hkij", S4)).max() <= 1e-13 * scale
-    E, _ = acoustic_spectrum(S4, w / np.linalg.norm(w, axis=-1, keepdims=True))
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    E = acoustic_tensor(S4, w)
     assert E.shape == (4, 5, 3, 3)
     assert np.abs(E - E.swapaxes(-1, -2)).max() <= 1e-13 * scale
+    # a stack's GEMM may sum in another order than a single product: equal to roundoff
+    for i, d in np.ndindex(4, 5):
+        np.testing.assert_allclose(E[i, d], acoustic_tensor(S4[i], w[d]), rtol=0.0,
+                                   atol=1e-13 * scale)
 
 
 @PROPERTY
@@ -177,7 +183,7 @@ def test_scan_classification_matches_the_dense_jacobian(se, D, V, A, n_dirs):
     # independent eigenvectors is decided by that roundoff, so those
     # directions have no reference to compare against
     vroot = velocity_coefficient_root(V)
-    mu = eig_sym(vroot @ acoustic_spectrum(S4, dirs)[0] @ vroot, vectors=False)
+    mu = eig_sym(vroot @ acoustic_tensor(S4, dirs) @ vroot, vectors=False)
     keep = np.abs(mu).min(axis=-1) > 1e-6 * np.maximum(1.0, np.abs(mu).max(axis=-1))
     assume(keep.any())
     assert np.array_equal(report.zero_multiplicity[keep], es.zero_multiplicity[keep])
@@ -209,7 +215,7 @@ def test_one_step_conserves_total_deformation_and_momentum(m, dims, seed):
     F, p, grid = fld.F, fld.p, fld.grid
     # the solver refuses a field that is not hyperbolic along the grid axes
     S4 = elasticity_map(m)(F.reshape(-1, 3, 3))
-    assume(acoustic_spectrum(S4, np.eye(3)[:dims])[1].min() >= 0.0)
+    assume(eig_sym(acoustic_tensor(S4, np.eye(3)[:dims]), vectors=False).min() >= 0.0)
     out = step_lax_friedrichs(m, fld, cfl=0.9)
     for total, scale in ((total_deformation, np.abs(F).sum()), (total_momentum, np.abs(p).sum())):
         drift = np.abs(total(out) - total(fld)).max()

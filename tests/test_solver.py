@@ -13,7 +13,7 @@ from elastocons import (Field, Grid, State, affine_initial_field,
                         step_lax_friedrichs, stored_energy_registry, eig_sym,
                         tensor_mass_model, total_deformation, total_energy,
                         total_momentum, uniform_field)
-from elastocons.errors import Blowup, NonHyperbolicState, PreconditionFailure
+from elastocons.errors import Blowup, NonHyperbolicState, NotUnit, PreconditionFailure
 from elastocons.hyperbolicity import velocity_coefficient_root
 from elastocons.solver import CELL_BLOCK, _cell_speeds
 
@@ -334,6 +334,15 @@ def test_the_solver_scales_speeds_by_the_root_of_the_declared_V():
     vroot = solver._velocity_coefficient_root(tensor_mass_model(V_COUPLED, neo_hookean(LAM, MU)),
                                               fld.F, fld.p)
     assert np.array_equal(vroot, velocity_coefficient_root(V_COUPLED))
+
+
+@pytest.mark.parametrize("model", [classical_model(1.0, neo_hookean(LAM, MU)),
+                                   corrupted_model("thermo", LAM, MU)],
+                         ids=["closed_form", "contracted_S4"])
+def test_plane_wave_speed_refuses_a_direction_that_is_not_unit(model):
+    # E(w) is quadratic in w: along 2 e_1 a speed c would read as 2 c
+    with pytest.raises(NotUnit):
+        plane_wave_speed(model, np.eye(3), [2.0, 0.0, 0.0], np.eye(3)[0])
 
 
 @pytest.mark.parametrize("d", [np.eye(3)[0], np.eye(3)[1]], ids=["longitudinal", "transverse"])
