@@ -413,7 +413,8 @@ def pointwise_model(name: str, energy, velocity, stress, analytic_S4=None) -> Co
 
     Each callable is looped over the states of a stack: the package's only
     per-state Python loop.  Without ``analytic_S4``, :func:`elasticity_map`
-    differences the looped stress; the model has no ``analytic_acoustic``.
+    differences the looped stress; the model has no ``analytic_acoustic``.  The solver
+    steps it once ``dataclasses.replace(model, V=V)`` declares V, checked at construction.
     """
     def each(fn, shape, of_states=True):
         def call(x):

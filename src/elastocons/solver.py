@@ -19,12 +19,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .constitutive import (ConstitutiveModel, State, fd_velocity_jacobian,
-                           momentum_from_velocity)
+from .constitutive import ConstitutiveModel, State, momentum_from_velocity
 from .errors import Blowup, NonHyperbolicState, PreconditionFailure
 from .hyperbolicity import _require_unit, acoustic_map, velocity_coefficient_root
 from .tensors import EYE3, eig_sym, outer
-from .tolerances import DEFAULT
 
 BLOWUP_NORM = 1e12
 CELL_BLOCK = 512  # cells per E(e_a) evaluation: 3-D E is 110 kB, a fallback S4 332 kB
@@ -113,22 +111,12 @@ def flux(model: ConstitutiveModel, U: State):
 # Wave-speed estimation
 # ---------------------------------------------------------------------------
 
-def _velocity_coefficient_root(model: ConstitutiveModel, F, p) -> np.ndarray:
-    """Symmetric square root of the velocity coefficient N = d(velocity)/dp.
-
-    N is the model's declared V when it has one.  Else it is differenced at every
-    state of (F, p), and PreconditionFailure is raised when it varies by more than
-    galilean_tol * max(1, |N|): the solver needs one state-independent N.
-    """
-    if model.V is not None:
-        return velocity_coefficient_root(model.V)
-    N = fd_velocity_jacobian(model, np.reshape(F, (-1, 3, 3)), np.reshape(p, (-1, 3)))
-    spread = float((N.max(axis=0) - N.min(axis=0)).max())
-    if spread > DEFAULT.galilean_tol * max(1.0, float(np.abs(N).max())):
-        raise PreconditionFailure(
-            f"velocity coefficient d(velocity)/dp varies by {spread:.3e} across the field; "
-            "the solver needs a state-independent one")
-    return velocity_coefficient_root(N[0])
+def _declared_V(model: ConstitutiveModel) -> np.ndarray:
+    """The model's velocity coefficient V = dv/dp; PreconditionFailure if it declares none."""
+    if model.V is None:
+        raise PreconditionFailure(f"velocity coefficient: model {model.name} declares no V; "
+                                  "the solver needs a state-independent dv/dp = V")
+    return model.V
 
 
 def _cell_speeds(model: ConstitutiveModel, fld: Field, vroot: np.ndarray) -> np.ndarray:
@@ -201,7 +189,7 @@ def step_lax_friedrichs(model: ConstitutiveModel, fld: Field, cfl: float) -> Fie
     """One explicit step with dt from the CFL condition on sampled speeds."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must be in (0, 1], got {cfl}")
-    speeds = _cell_speeds(model, fld, _velocity_coefficient_root(model, fld.F, fld.p))
+    speeds = _cell_speeds(model, fld, velocity_coefficient_root(_declared_V(model)))
     dt = _time_step(fld.grid, speeds, cfl)
     return _apply_step(model, fld, dt, speeds)
 
@@ -286,8 +274,8 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
 
     Every step recomputes the wave speeds of every cell and takes exactly
     dt = cfl / sum_a (max c_a / h_a), with no safety factor.  Raises Blowup
-    when any state norm exceeds 1e12 or a value goes non-finite, and
-    PreconditionFailure when a model without V has d(velocity)/dp varying across the field.
+    when any state norm exceeds 1e12 or a value goes non-finite.  A model that declares
+    no V is refused with PreconditionFailure before any of its maps is evaluated.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -296,11 +284,12 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
     if monitor_every < 1:
         raise ValueError("monitor_every must be >= 1")
 
+    V = _declared_V(model)  # refuses a model without V before any map is evaluated
     trace = MonitorTrace()
     energy0 = total_energy(model, fld)
     trace.record(0, fld.t, energy0, energy0, involution_residual(fld), 0.0)
 
-    vroot = _velocity_coefficient_root(model, fld.F, fld.p)
+    vroot = velocity_coefficient_root(V)
     step = 0
     t_stop = t_end * (1.0 - 1e-12)
     while fld.t < t_stop:
@@ -357,7 +346,7 @@ def plane_wave_speed(model: ConstitutiveModel, F0, w, d) -> float:
     """Characteristic speed along unit w of the acoustic mode closest to polarization d."""
     F0 = np.asarray(F0, dtype=float)
     w = _require_unit(np.reshape(w, (1, 3)))
-    vroot = _velocity_coefficient_root(model, F0, np.zeros(3))
+    vroot = velocity_coefficient_root(_declared_V(model))
     evals, evecs = eig_sym(vroot @ acoustic_map(model, w)(F0)[0] @ vroot)
     if float(evals.min()) < 0.0:
         raise NonHyperbolicState("no real wave speed: acoustic tensor indefinite")

@@ -1,5 +1,7 @@
 """Whole-field (batched) constitutive evaluation and the loop-free solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from field_fixtures import gradient_field_3d
@@ -68,7 +70,10 @@ def test_batched_neo_hookean_rejects_any_inverted_cell():
 
 
 def _pointwise_only(model):
-    """The model's maps behind callables that refuse stacked states, looped by pointwise_model."""
+    """The model's maps behind callables that refuse stacked states, looped by pointwise_model.
+
+    The wrapped model's V is declared, so that the solver steps the looped maps.
+    """
     def single(fn):
         def call(s):
             assert s.F.shape == (3, 3) and s.p.shape == (3,)
@@ -79,8 +84,9 @@ def _pointwise_only(model):
         assert np.shape(F) == (3, 3)
         return model.analytic_S4(F)
 
-    return pointwise_model("pointwise", single(model.energy), single(model.velocity),
-                           single(model.stress), single_S4)
+    looped = pointwise_model("pointwise", single(model.energy), single(model.velocity),
+                             single(model.stress), single_S4)
+    return dataclasses.replace(looped, V=model.V)
 
 
 def test_the_stack_contract_is_checked_at_construction():

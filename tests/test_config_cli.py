@@ -327,6 +327,18 @@ def test_cli_simulate_refuses_the_galilean_control(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "monitors.csv"))
 
 
+def test_cli_simulate_refuses_the_normality_control_at_rest(tmp_path, capsys):
+    # v = |p|^2 p has dv/dp = 0 at rest: a differenced V there is truncation error only
+    tmp = str(tmp_path)
+    cfgp = _write(tmp, MINIMAL.replace("sigma = linear_isotropic",
+                                       "sigma = linear_isotropic\ncorruption = normality")
+                  + "[grid]\ncells = 16\n[initial]\nkind = rest\n[evolve]\nt_end = 0.05\n")
+    out = os.path.join(tmp, "out")
+    assert main(["--config", cfgp, "--mode", "simulate", "--out", out]) == 4
+    assert "simulation: FAIL (velocity coefficient" in capsys.readouterr().out
+    assert not os.path.exists(os.path.join(out, "monitors.csv"))
+
+
 def test_cli_mode_override_is_validated_with_the_file(tmp_path, capsys):
     # the file alone is invalid (an unknown mode); the command-line mode
     # replaces it before validation

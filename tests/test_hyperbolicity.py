@@ -8,7 +8,7 @@ from elastocons import (acoustic_tensor, baseline_directions, corrupted_model, e
                         fibonacci_sphere, flux_jacobian, linear_isotropic,
                         neo_hookean, outer, scan_directions,
                         st_venant_kirchhoff)
-from elastocons.errors import NonHyperbolicState, NotUnit
+from elastocons.errors import NonHyperbolicState, NotSymmetric, NotUnit
 from elastocons.tolerances import DEFAULT
 
 LAM, MU = 2.0, 1.0
@@ -55,9 +55,14 @@ def test_acoustic_symmetric_for_major_symmetric_input():
     for _ in range(10):
         R = rng.normal(size=(3, 3, 3, 3))
         S4 = 0.5 * (R + R.transpose(2, 3, 0, 1))  # impose major symmetry
-        E = acoustic_tensor(S4, _unit(rng))
+        w = _unit(rng)
+        E = acoustic_tensor(S4, w)
         assert np.abs(E - E.T).max() <= 1e-12 * max(1.0, np.abs(E).max())
-        assert np.all(np.isreal(eig_sym(E, vectors=False)))
+        # without major symmetry E(w) is not symmetric, and eig_sym refuses it
+        E_R = acoustic_tensor(R, w)
+        assert np.abs(E_R - E_R.T).max() > 1e-3 * np.abs(E_R).max()
+        with pytest.raises(NotSymmetric):
+            eig_sym(E_R, vectors=False)
 
 
 def test_flux_jacobian_zero_elasticity():

@@ -214,7 +214,7 @@ def test_3d_smoke_run_conserves_and_stays_finite():
 def _rolled_step(model, fld, cfl):
     """The Rusanov step written with np.roll: the bit-for-bit reference of the solver's."""
     g = fld.grid
-    speeds = _cell_speeds(model, fld, solver._velocity_coefficient_root(model, fld.F, fld.p))
+    speeds = _cell_speeds(model, fld, velocity_coefficient_root(solver._declared_V(model)))
     dt = solver._time_step(g, speeds, cfl)
     flux_F, flux_p = flux(model, State(fld.F, fld.p))
     F_new, p_new = fld.F.copy(), fld.p.copy()
@@ -325,14 +325,11 @@ def _random_box_field():
 
 
 def test_the_solver_scales_speeds_by_the_root_of_the_declared_V():
-    # dv/dp differenced at these momenta carries the rounding of p +- h; the declared
-    # V = I / 1.5 does not
-    fld = _random_box_field()
     for se in stored_energy_registry(LAM, MU):
-        vroot = solver._velocity_coefficient_root(classical_model(1.5, se), fld.F, fld.p)
+        vroot = velocity_coefficient_root(solver._declared_V(classical_model(1.5, se)))
         assert np.array_equal(vroot, velocity_coefficient_root(np.eye(3) / 1.5))
-    vroot = solver._velocity_coefficient_root(tensor_mass_model(V_COUPLED, neo_hookean(LAM, MU)),
-                                              fld.F, fld.p)
+    vroot = velocity_coefficient_root(
+        solver._declared_V(tensor_mass_model(V_COUPLED, neo_hookean(LAM, MU))))
     assert np.array_equal(vroot, velocity_coefficient_root(V_COUPLED))
 
 
@@ -431,12 +428,20 @@ def test_tensor_mass_1d_wave_speeds():
 
 
 def test_run_refuses_a_state_dependent_velocity_coefficient():
-    # the Galilean control's density 1 + |F - 1|^2 varies along the wave, so no
-    # single V scales the wave speeds of every cell
-    m = corrupted_model("galilean")
-    fld = sine_wave_field(m, Grid.line(32), "longitudinal", amplitude=0.01)
-    with pytest.raises(PreconditionFailure, match="varies"):
-        run(m, fld, t_end=0.01, cfl=0.5)
+    # the Galilean control's density 1 + |F - 1|^2 varies with F, so it declares no V
+    # and the solver refuses it on any field, a uniform one included
+    base = corrupted_model("galilean")
+    calls = []
+    m = dataclasses.replace(base, energy=lambda s: calls.append(1) or base.energy(s))
+    with pytest.raises(PreconditionFailure, match="control_galilean declares no V"):
+        sine_wave_field(m, Grid.line(32), "longitudinal", amplitude=0.01)
+    fld = uniform_field(Grid.line(32), np.eye(3), np.zeros(3))
+    calls.clear()
+    for refused in (lambda: run(m, fld, t_end=0.01, cfl=0.5),
+                    lambda: step_lax_friedrichs(m, fld, cfl=0.5)):
+        with pytest.raises(PreconditionFailure, match="control_galilean declares no V"):
+            refused()
+    assert not calls  # refused before the first energy monitor
 
 
 def test_rusanov_first_order_l1_convergence():
