@@ -28,7 +28,7 @@ from .constitutive import (ConstitutiveModel, classical_model, corrupted_model,
                            elasticity_map, stored_energy_by_name, tensor_mass_model)
 from .errors import ElastoconsError
 from .hyperbolicity import scan_directions
-from .solver import (Field, Grid, affine_initial_field, rest_field, run,
+from .solver import (Field, Grid, _declared_V, affine_initial_field, rest_field, run,
                      sine_wave_field)
 
 EXIT_OK = 0
@@ -139,6 +139,7 @@ def _write_snapshot(name: str, cfg: RunConfig, fld: Field):
 
 
 def mode_simulate(cfg: RunConfig, model: ConstitutiveModel) -> bool:
+    _declared_V(model)  # a model without V is refused before any file is written
     fld = _build_field(cfg, model)
     _write_snapshot("snapshot_initial.csv", cfg, fld)
     final, trace = run(model, fld, t_end=cfg.t_end, cfl=cfg.cfl,

@@ -8,8 +8,8 @@ maps
     velocity (F, p) -> v          boundary flux of F
     stress   (F, p) -> S          Piola stress, boundary flux of p
 
-together with optional analytic maps dS/dF, E(w) = (dS/dF)[., w, ., w] and the extreme
-eigenvalues of V^(1/2) E(w) V^(1/2), and the exact V = dv/dp.  Every map takes
+together with optional analytic maps dS/dF, E(w) = (dS/dF)[., w, ., w] and the stress with
+the extreme eigenvalues of V^(1/2) E(w) V^(1/2), and the exact V = dv/dp.  Every map takes
 stacks of states F[..., 3, 3], p[..., 3] and returns one value per state;
 :func:`pointwise_model` loops callables written for one state at a time.
 Builders are provided for the representation
@@ -61,8 +61,8 @@ class StoredEnergy:
     """Stored energy sigma(F) with its closed-form derivatives.
 
     sigma and the derivatives take stacks F[..., 3, 3], analytic_acoustic also w[d, 3].
-    An energy whose E(w) = a I + k g (x) g gives acoustic_parts (F, w) -> (a, k, g),
-    broadcastable to F.shape[:-2] + (d,), the same and + (d, 3).
+    An energy whose E(w) = a I + k g (x) g gives stress_and_parts (F, w) -> (S, (a, k, g)) from one
+    kinematics: analytic_stress and (a, k, g) broadcastable to L + (d,), L + (d,), L + (d, 3).
     """
 
     name: str
@@ -70,11 +70,11 @@ class StoredEnergy:
     analytic_stress: Callable[[np.ndarray], np.ndarray]
     analytic_elasticity: Callable[[np.ndarray], np.ndarray]
     analytic_acoustic: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    acoustic_parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+    stress_and_parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
 
 
 def _rank_one_acoustic(parts):
-    """analytic_acoustic E(w) = a I + k g (x) g from acoustic parts (a, k, g)."""
+    """analytic_acoustic E(w) = a I + k g (x) g from acoustic parts (F, w) -> (a, k, g)."""
     def acoustic(F, w):
         a, k, g = parts(F, w)
         E = np.asarray(k)[..., None, None] * g[..., :, None] * g[..., None, :]
@@ -89,9 +89,10 @@ class ConstitutiveModel:
 
     For states with leading shape L, energy returns L, velocity L + (3,), stress L + (3, 3),
     analytic_S4 (of F) L + (3, 3, 3, 3), analytic_acoustic (of F, w[d, 3]) L + (d, 3, 3) and
-    acoustic_extremes (of F, w) L + (d, 2): lowest and highest eigenvalue of V^(1/2) E(w) V^(1/2).
-    Construction evaluates each map once on the states F = I, p = 0, e_0, e_1, e_2 (and one
-    direction): PreconditionFailure, naming the map, if it raises or returns another shape.
+    stress_and_extremes (of F, w) the pair (stress, L + (d, 2)): the stress with the lowest and
+    highest eigenvalue of V^(1/2) E(w) V^(1/2).  Construction evaluates each map once on the
+    states F = I, p = 0, e_0, e_1, e_2 (and one direction): PreconditionFailure, naming the map,
+    if it raises, returns another shape or (stress_and_extremes) a stress unequal to stress's.
     V, when given, is the exact dv/dp, kept read-only.  It must be finite, symmetric and
     invertible, and velocity(I, e_i) - velocity(I, 0) = V e_i to galilean_tol * max(1, |V|).
     """
@@ -102,7 +103,7 @@ class ConstitutiveModel:
     stress: Callable[[State], np.ndarray]
     analytic_S4: Optional[Callable[[np.ndarray], np.ndarray]] = None
     analytic_acoustic: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    acoustic_extremes: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    stress_and_extremes: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
     V: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -111,12 +112,15 @@ class ConstitutiveModel:
                 ("stress", self.stress, (s,), (3, 3)),
                 ("analytic_S4", self.analytic_S4, (s.F,), (3, 3, 3, 3)),
                 ("analytic_acoustic", self.analytic_acoustic, (s.F, EYE3[:1]), (1, 3, 3)),
-                ("acoustic_extremes", self.acoustic_extremes, (s.F, EYE3[:1]), (1, 2))]
+                ("stress_and_extremes", self.stress_and_extremes, (s.F, EYE3[:1]), (1, 2))]
+        out = {}
         for name, fn, args, shape in maps:
             if fn is None:
                 continue
             try:
-                got = fn(*args)
+                got = out[name] = fn(*args)
+                if name == "stress_and_extremes":
+                    S_shared, got = got
             except Exception as exc:
                 raise PreconditionFailure(f"model {self.name}: {name} fails on a stack of "
                                           f"four states ({exc!r})") from exc
@@ -124,8 +128,9 @@ class ConstitutiveModel:
                 raise PreconditionFailure(
                     f"model {self.name}: {name} returns shape {np.shape(got)} for a stack of four "
                     f"states, expected {(4,) + shape}; wrap pointwise maps in pointwise_model")
-            if name == "velocity":
-                dv = (got[1:] - got[0]).T  # column i: velocity(I, e_i) - velocity(I, 0)
+        if self.stress_and_extremes is not None and not np.array_equal(S_shared, out["stress"]):
+            raise PreconditionFailure(f"model {self.name}: stress_and_extremes returns another "
+                                      "stress than stress; replace or drop it with stress")
         if self.V is None:
             return
         V = check_finite(self.V, "V").reshape(3, 3).copy()
@@ -134,6 +139,7 @@ class ConstitutiveModel:
         sv = np.linalg.svd(V, compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             raise Singular("velocity coefficient tensor V is singular")
+        dv = (out["velocity"][1:] - out["velocity"][0]).T  # column i: v(I, e_i) - v(I, 0)
         off = float(np.abs(dv - V).max())
         if off > DEFAULT.galilean_tol * max(1.0, float(np.abs(V).max())):
             raise PreconditionFailure(f"model {self.name}: velocity(I, e_i) - velocity(I, 0) "
@@ -173,7 +179,8 @@ def linear_isotropic(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         sigma=sigma,
         analytic_stress=stress,
         analytic_elasticity=lambda F: np.broadcast_to(S4, np.shape(F)[:-2] + S4.shape),
-        analytic_acoustic=_rank_one_acoustic(parts), acoustic_parts=parts,
+        analytic_acoustic=_rank_one_acoustic(parts),
+        stress_and_parts=lambda F, w: (stress(F), parts(F, w)),
     )
 
 
@@ -229,28 +236,25 @@ def neo_hookean(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
     J and F^-T = cof F / J come from the closed-form :func:`det_cofactor`.
     """
 
-    def _log_det_inv_t(F):
-        """(ln J, F^-T); the domain is checked before the log and the division."""
+    def kinematics(F):
+        """(F, ln J, F^-T), F as floats; the domain is checked before the log and the division."""
+        F = np.asarray(F, dtype=float)
         J, cof = det_cofactor(F)
         if (J <= 0.0).any():
             raise DomainError(f"neo-Hookean energy requires det F > 0, got {np.min(J):.3e}")
-        return np.log(J), cof / J[..., None, None]
+        return F, np.log(J), cof / J[..., None, None]
 
     def sigma(F):
-        F = np.asarray(F, dtype=float)
-        lnJ = _log_det_inv_t(F)[0]
+        F, lnJ, _ = kinematics(F)
         return 0.5 * mu * ((F * F).sum((-2, -1)) - 3.0) - mu * lnJ + 0.5 * lam * lnJ * lnJ
 
-    def stress(F):
-        F = np.asarray(F, dtype=float)
-        lnJ, FinvT = _log_det_inv_t(F)
+    def stress(F, lnJ, FinvT):
         return mu * F + (lam * lnJ - mu)[..., None, None] * FinvT
 
     I4 = mu * np.einsum("ih,jk->ijhk", EYE3, EYE3)
 
     def elasticity(F):
-        F = np.asarray(F, dtype=float)
-        lnJ, FinvT = _log_det_inv_t(F)
+        F, lnJ, FinvT = kinematics(F)
         Finv = FinvT.swapaxes(-1, -2)
         S4 = np.multiply((lam * FinvT)[..., :, :, None, None], FinvT[..., None, None, :, :],
                          order="C")  # flat rows for E(w)
@@ -259,30 +263,33 @@ def neo_hookean(lam: float = 2.0, mu: float = 1.0) -> StoredEnergy:
         S4 -= c[..., :, None, None, :] * Finv[..., None, :, :, None]  # c_ik Finv_jh
         return S4
 
-    def parts(F, w):  # mu |w|^2 I + (lam + mu - lam ln J) g (x) g, g = F^-T w
-        lnJ, FinvT = _log_det_inv_t(F)
+    def parts(w, F, lnJ, FinvT):  # mu |w|^2 I + (lam + mu - lam ln J) g (x) g, g = F^-T w
         g = w @ FinvT.swapaxes(-1, -2)  # [..., d, i] = (F^-T w_d)_i
         return mu * (w * w).sum(-1), (lam + mu - lam * lnJ)[..., None], g
+
+    def stress_and_parts(F, w):  # one kinematics for both
+        kin = kinematics(F)
+        return stress(*kin), parts(w, *kin)
 
     return StoredEnergy(
         name="neo_hookean",
         sigma=sigma,
-        analytic_stress=stress,
+        analytic_stress=lambda F: stress(*kinematics(F)),
         analytic_elasticity=elasticity,
-        analytic_acoustic=_rank_one_acoustic(parts), acoustic_parts=parts,
+        analytic_acoustic=_rank_one_acoustic(lambda F, w: parts(w, *kinematics(F))),
+        stress_and_parts=stress_and_parts,
     )
 
 
 def zero_energy() -> StoredEnergy:
     """Degenerate sigma = 0 (stress-free for every F)."""
-    def parts(F, w):
-        return 0.0, 0.0, w
     return StoredEnergy(
         name="zero",
         sigma=lambda F: np.zeros(np.shape(F)[:-2]),
         analytic_stress=lambda F: np.zeros(np.shape(F)),
         analytic_elasticity=lambda F: np.zeros(np.shape(F) + (3, 3)),
-        analytic_acoustic=_rank_one_acoustic(parts), acoustic_parts=parts,
+        analytic_acoustic=_rank_one_acoustic(lambda F, w: (0.0, 0.0, w)),
+        stress_and_parts=lambda F, w: (np.zeros(np.shape(F)), (0.0, 0.0, w)),
     )
 
 
@@ -372,7 +379,7 @@ def _pp(p) -> np.ndarray:
 
 
 def _represented_model(name: str, V, se: StoredEnergy,
-                       acoustic_extremes=None) -> ConstitutiveModel:
+                       stress_and_extremes=None) -> ConstitutiveModel:
     """The representation v = V p, tau = p . V p / 2 + sigma(F) with se's closed forms and V."""
     VmT = np.ascontiguousarray(np.reshape(V, (3, 3)).T, dtype=float)  # p @ VmT is V p
     return ConstitutiveModel(
@@ -382,25 +389,25 @@ def _represented_model(name: str, V, se: StoredEnergy,
         stress=lambda s: se.analytic_stress(s.F),
         analytic_S4=se.analytic_elasticity,
         analytic_acoustic=se.analytic_acoustic,
-        acoustic_extremes=acoustic_extremes, V=V,
+        stress_and_extremes=stress_and_extremes, V=V,
     )
 
 
 def classical_model(rho: float, se: StoredEnergy) -> ConstitutiveModel:
     """Scalar mass density: the representation with V = I / rho.
 
-    With V exact, an energy's acoustic_parts give acoustic_extremes without an eigensolver.
+    With V exact, an energy's stress_and_parts give stress_and_extremes without an eigensolver.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
 
-    def extremes(F, w):  # eig (a I + k g (x) g) / rho: a / rho twice, (a + k |g|^2) / rho
-        a, k, g = se.acoustic_parts(F, w)
+    def stress_and_extremes(F, w):  # eig (a I + k g(x)g) / rho: a / rho twice, (a + k|g|^2) / rho
+        S, (a, k, g) = se.stress_and_parts(F, w)
         kgg = k * (g * g).sum(-1)
         lo, hi = np.broadcast_arrays(a + np.minimum(kgg, 0.0), a + np.maximum(kgg, 0.0))
-        return np.broadcast_to(np.stack([lo, hi], -1) / rho, np.shape(F)[:-2] + (len(w), 2))
+        return S, np.broadcast_to(np.stack([lo, hi], -1) / rho, np.shape(F)[:-2] + (len(w), 2))
     return _represented_model(f"classical(rho={rho:g},{se.name})", EYE3 / rho, se,
-                              extremes if se.acoustic_parts else None)
+                              stress_and_extremes if se.stress_and_parts else None)
 
 
 def tensor_mass_model(V, se: StoredEnergy) -> ConstitutiveModel:

@@ -93,18 +93,19 @@ class Field:
 # Fluxes
 # ---------------------------------------------------------------------------
 
-def flux(model: ConstitutiveModel, U: State):
+def flux(model: ConstitutiveModel, U: State, S=None):
     """Conservative fluxes of a state or a stack of states, all three axes.
 
     Returns (flux_F, flux_p) with flux_F[a] = -outer(v, e_a) (the axis-a slice
-    of -v (x) 1) and flux_p[a] = -S e_a, each stacked like U.
+    of -v (x) 1) and flux_p[a] = -S e_a, each stacked like U.  S is model.stress(U)
+    unless given; a given S is negated in place, so that it is not held beside flux_p.
     """
     v = model.velocity(U)
-    S = model.stress(U)
-    flux_F = np.zeros((3,) + S.shape)
+    minus_S = -model.stress(U) if S is None else np.negative(S, out=S).reshape(U.F.shape)
+    flux_F = np.zeros((3,) + minus_S.shape)
     for a in range(3):
         flux_F[a, ..., :, a] = -v
-    return flux_F, -np.moveaxis(S, -1, 0)
+    return flux_F, np.moveaxis(minus_S, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +120,23 @@ def _declared_V(model: ConstitutiveModel) -> np.ndarray:
     return model.V
 
 
-def _cell_speeds(model: ConstitutiveModel, fld: Field, vroot: np.ndarray) -> np.ndarray:
-    """Max characteristic speed per cell and active axis, shape cells + (dims,).
+def _cell_speeds(model: ConstitutiveModel, fld: Field, vroot: np.ndarray) -> tuple:
+    """Max characteristic speed per cell and active axis, shape cells + (dims,), and the stress.
 
     Speeds come from the extreme eigenvalues of V^(1/2) E(e_a) V^(1/2): in closed form
-    from the model's acoustic_extremes (classical linear and neo-Hookean models), else
-    from the :func:`eig_sym` spectrum with E(e_a) from :func:`acoustic_map` for
-    CELL_BLOCK cells at a time.  A negative lowest eigenvalue beyond roundoff means the
-    state left the hyperbolic region and stepping is refused.
+    from the model's stress_and_extremes (classical linear and neo-Hookean models), whose
+    stress of the cells is returned for :func:`flux`; else from the :func:`eig_sym`
+    spectrum with E(e_a) from :func:`acoustic_map` for CELL_BLOCK cells at a time, and
+    the stress is None.  A negative lowest eigenvalue beyond roundoff means the state
+    left the hyperbolic region and stepping is refused.
     """
     g = fld.grid
     F = fld.F.reshape(-1, 3, 3)
-    if model.acoustic_extremes is not None:
-        lo, hi = np.moveaxis(model.acoustic_extremes(F, EYE3[:g.dims]), -1, 0)
+    if model.stress_and_extremes is not None:
+        S, extremes = model.stress_and_extremes(F, EYE3[:g.dims])
+        lo, hi = np.moveaxis(extremes, -1, 0)
     else:
-        E_of = acoustic_map(model, EYE3[:g.dims])
+        S, E_of = None, acoustic_map(model, EYE3[:g.dims])
         eigs = np.empty((len(F), g.dims, 3))  # descending, per cell and axis
         for start in range(0, len(F), CELL_BLOCK):
             block = slice(start, start + CELL_BLOCK)
@@ -144,7 +147,7 @@ def _cell_speeds(model: ConstitutiveModel, fld: Field, vroot: np.ndarray) -> np.
     if bad.size:
         raise NonHyperbolicState(
             f"negative acoustic eigenvalue {lo[:, bad[0]].min():.3e} along axis {bad[0]}")
-    return np.sqrt(np.clip(hi, 0.0, None)).reshape(g.cells + (g.dims,))
+    return np.sqrt(np.clip(hi, 0.0, None)).reshape(g.cells + (g.dims,)), S
 
 
 def _time_step(grid: Grid, speeds: np.ndarray, cfl: float) -> float:
@@ -171,9 +174,9 @@ def _shift(arr: np.ndarray, axis: int, k: int) -> np.ndarray:
 
 
 def _apply_step(model: ConstitutiveModel, fld: Field, dt: float,
-                speeds: np.ndarray) -> Field:
+                speeds: np.ndarray, S) -> Field:
     g = fld.grid
-    flux_F, flux_p = flux(model, State(fld.F, fld.p))
+    flux_F, flux_p = flux(model, State(fld.F, fld.p), S)
     F_new, p_new = fld.F.copy(), fld.p.copy()
     for ax in range(g.dims):
         c = speeds[..., ax]
@@ -189,9 +192,8 @@ def step_lax_friedrichs(model: ConstitutiveModel, fld: Field, cfl: float) -> Fie
     """One explicit step with dt from the CFL condition on sampled speeds."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must be in (0, 1], got {cfl}")
-    speeds = _cell_speeds(model, fld, velocity_coefficient_root(_declared_V(model)))
-    dt = _time_step(fld.grid, speeds, cfl)
-    return _apply_step(model, fld, dt, speeds)
+    speeds, S = _cell_speeds(model, fld, velocity_coefficient_root(_declared_V(model)))
+    return _apply_step(model, fld, _time_step(fld.grid, speeds, cfl), speeds, S)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +232,15 @@ def involution_residual(fld: Field) -> float:
 
 
 def dissipation_residual(model: ConstitutiveModel, before: Field, after: Field,
-                         dt: float) -> float:
-    """Worst defect of d tau/dt - S : dF/dt - v . dp/dt across one step.
+                         dt: float, tau_after: np.ndarray) -> float:
+    """Worst defect of d tau/dt - S : dF/dt - v . dp/dt across one step; tau_after = energy(after).
 
     Stress and velocity are evaluated at the midpoint state, so the residual
     vanishes to second order in dt for smooth trajectories; what remains is
     the scheme's own dissipation plus chain-rule truncation.
     """
     mid = State(0.5 * (before.F + after.F), 0.5 * (before.p + after.p))
-    tau_rate = (model.energy(State(after.F, after.p))
-                - model.energy(State(before.F, before.p))) / dt
+    tau_rate = (tau_after - model.energy(State(before.F, before.p))) / dt
     work = ((model.stress(mid) * (after.F - before.F)).sum((-2, -1))
             + (model.velocity(mid) * (after.p - before.p)).sum(-1)) / dt
     return float(np.abs(tau_rate - work).max())
@@ -273,9 +274,10 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
     """Advance to t_end, sampling monitors every ``monitor_every`` steps and at the end.
 
     Every step recomputes the wave speeds of every cell and takes exactly
-    dt = cfl / sum_a (max c_a / h_a), with no safety factor.  Raises Blowup
-    when any state norm exceeds 1e12 or a value goes non-finite.  A model that declares
-    no V is refused with PreconditionFailure before any of its maps is evaluated.
+    dt = cfl / sum_a (max c_a / h_a), with no safety factor; a model's stress_and_extremes gives
+    the speeds and the flux stress in one call, and a monitored field's energy is evaluated once.
+    Raises Blowup when any state norm exceeds 1e12 or a value goes non-finite.  A model that
+    declares no V is refused with PreconditionFailure before any of its maps is evaluated.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -293,12 +295,12 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
     step = 0
     t_stop = t_end * (1.0 - 1e-12)
     while fld.t < t_stop:
-        speeds = _cell_speeds(model, fld, vroot)
+        prev = fld  # _apply_step returns a new field and leaves this one alone
+        speeds, S = _cell_speeds(model, fld, vroot)
         dt = min(_time_step(fld.grid, speeds, cfl), t_end - fld.t)
         monitored = step % monitor_every == 0 or fld.t + dt >= t_stop
-        before = fld  # _apply_step returns a new field and leaves this one alone
 
-        fld = _apply_step(model, fld, dt, speeds)
+        fld = _apply_step(model, fld, dt, speeds, S)
         step += 1
 
         # one comparison per array: nan fails <=, and Python's max(1.0, nan) is 1.0
@@ -306,9 +308,9 @@ def run(model: ConstitutiveModel, fld: Field, t_end: float, cfl: float,
             raise Blowup(f"field norm exploded at t = {fld.t:.6g} (step {step})")
 
         if monitored:
-            trace.record(step, fld.t, total_energy(model, fld), energy0,
-                         involution_residual(fld),
-                         dissipation_residual(model, before, fld, dt))
+            tau = model.energy(State(fld.F, fld.p))
+            trace.record(step, fld.t, fld.grid.cell_volume * float(tau.sum()), energy0,
+                         involution_residual(fld), dissipation_residual(model, prev, fld, dt, tau))
     return fld, trace
 
 

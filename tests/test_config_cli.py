@@ -336,7 +336,7 @@ def test_cli_simulate_refuses_the_normality_control_at_rest(tmp_path, capsys):
     out = os.path.join(tmp, "out")
     assert main(["--config", cfgp, "--mode", "simulate", "--out", out]) == 4
     assert "simulation: FAIL (velocity coefficient" in capsys.readouterr().out
-    assert not os.path.exists(os.path.join(out, "monitors.csv"))
+    assert os.listdir(out) == []  # refused before the initial snapshot is written
 
 
 def test_cli_mode_override_is_validated_with_the_file(tmp_path, capsys):

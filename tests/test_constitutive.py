@@ -134,6 +134,18 @@ def test_construction_refuses_a_declared_V_the_velocity_map_does_not_have():
         dataclasses.replace(classical_model(2.0, se), velocity=lambda s: s.p)
 
 
+def test_construction_refuses_a_replaced_stress_that_keeps_the_combined_map():
+    # the solver's flux takes the stress of stress_and_extremes, so a replaced stress
+    # must replace or drop it; this one depends on p, as the Maxwell control's does
+    base = classical_model(1.0, linear_isotropic(LAM, MU))
+
+    def stress(s):
+        return base.stress(s) + s.p[..., 0, None, None] * np.eye(3)
+    with pytest.raises(PreconditionFailure, match="stress_and_extremes returns another stress"):
+        dataclasses.replace(base, stress=stress)
+    assert dataclasses.replace(base, stress=stress, stress_and_extremes=None).V is not None
+
+
 def test_momentum_from_velocity_classical():
     m = classical_model(2.0, linear_isotropic(LAM, MU))
     p = momentum_from_velocity(m, np.eye(3), np.array([1.0, 0.0, 0.0]))

@@ -154,7 +154,8 @@ def test_closed_form_extremes_are_the_extreme_eigenvalues(name, lam, mu, rho, re
     ln_J = {"edge": np.log(1e-4) + t * np.log(10.0), "moderate": 4.0 * t - 2.0,
             "k < 0": (lam + mu) / lam + 0.01 + 3.0 * t}[regime]
     F = np.exp(ln_J / 3.0) * G / np.cbrt(np.linalg.det(G))[:, None, None]
-    lo_hi = m.acoustic_extremes(F, w)
+    S, lo_hi = m.stress_and_extremes(F, w)
+    assert np.array_equal(S, se.analytic_stress(F))
     E = np.einsum("...ijhk,dj,dk->...dih", se.analytic_elasticity(F), w, w)
     vroot = velocity_coefficient_root(rho)
     eigs = eig_sym(vroot @ E @ vroot, vectors=False)

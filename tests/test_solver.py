@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_3d_smoke_run_conserves_and_stays_finite():
 def _rolled_step(model, fld, cfl):
     """The Rusanov step written with np.roll: the bit-for-bit reference of the solver's."""
     g = fld.grid
-    speeds = _cell_speeds(model, fld, velocity_coefficient_root(solver._declared_V(model)))
+    speeds = _cell_speeds(model, fld, velocity_coefficient_root(solver._declared_V(model)))[0]
     dt = solver._time_step(g, speeds, cfl)
     flux_F, flux_p = flux(model, State(fld.F, fld.p))
     F_new, p_new = fld.F.copy(), fld.p.copy()
@@ -236,11 +237,17 @@ def _rolled_involution(fld):
                for a in range(3) for b in range(a + 1, 3))
 
 
-@pytest.mark.parametrize("grid", [Grid.line(32), Grid(cells=(5, 6, 7), h=(0.2, 1 / 6, 1 / 7))],
-                         ids=["1d", "3d_non_cubic"])
-def test_step_and_involution_have_the_bits_of_a_rolled_reference(grid):
-    # a non-cubic grid, so that a shift along the wrong axis cannot go unnoticed
-    m = _iso_model(1.5)
+GRIDS = {"1d": Grid.line(32), "3d_non_cubic": Grid(cells=(5, 6, 7), h=(0.2, 1 / 6, 1 / 7))}
+
+
+@pytest.mark.parametrize("grid, energy", [
+    pytest.param(grid, energy, id=name + suffix)
+    for energy, suffix in ((linear_isotropic, ""), (neo_hookean, "_neo_hookean"))
+    for name, grid in GRIDS.items()])
+def test_step_and_involution_have_the_bits_of_a_rolled_reference(grid, energy):
+    # a non-cubic grid, so that a shift along the wrong axis cannot go unnoticed; the
+    # reference's flux takes model.stress, the solver's the stress of stress_and_extremes
+    m = classical_model(1.5, energy(LAM, MU))
     rng = np.random.default_rng(21)
     fld = Field(grid=grid, F=np.eye(3) + rng.uniform(-0.1, 0.1, grid.cells + (3, 3)),
                 p=rng.uniform(-0.5, 0.5, grid.cells + (3,)))
@@ -254,10 +261,12 @@ def test_step_and_involution_have_the_bits_of_a_rolled_reference(grid):
 
 
 def test_nan_only_in_momentum_is_a_blowup_at_the_step_that_made_it():
-    # the stress, and so only the momentum flux, turns nan where F_00 > 1.005
+    # the stress, and so only the momentum flux, turns nan where F_00 > 1.005; the
+    # replaced stress drops the combined map, whose stress the flux would take instead
     base = _iso_model()
     m = dataclasses.replace(base, name="nan_stress", stress=lambda s: np.where(
-        (s.F[..., 0, 0] > 1.005)[..., None, None], np.nan, base.stress(s)))
+        (s.F[..., 0, 0] > 1.005)[..., None, None], np.nan, base.stress(s)),
+        stress_and_extremes=None)
     fld = sine_wave_field(m, Grid.line(16), "longitudinal", 0.01)
     with pytest.raises(Blowup, match=r"\(step 1\)$"):
         run(m, fld, t_end=0.1, cfl=0.5)
@@ -325,12 +334,20 @@ def _random_box_field():
 
 
 def test_the_solver_scales_speeds_by_the_root_of_the_declared_V():
-    for se in stored_energy_registry(LAM, MU):
-        vroot = velocity_coefficient_root(solver._declared_V(classical_model(1.5, se)))
-        assert np.array_equal(vroot, velocity_coefficient_root(np.eye(3) / 1.5))
-    vroot = velocity_coefficient_root(
-        solver._declared_V(tensor_mass_model(V_COUPLED, neo_hookean(LAM, MU))))
-    assert np.array_equal(vroot, velocity_coefficient_root(V_COUPLED))
+    fld = gradient_field_3d(6, amp=0.01)
+
+    def speeds(m):
+        return _cell_speeds(m, fld, velocity_coefficient_root(solver._declared_V(m)))[0]
+    for se in stored_energy_registry(LAM, MU):  # closed form (linear, neo-Hookean) and eig_sym
+        c1 = speeds(classical_model(1.0, se)) / np.sqrt(1.5)
+        assert np.abs(speeds(classical_model(1.5, se)) - c1).max() <= 1e-14 * c1.max(), se.name
+    m = tensor_mass_model(V_COUPLED, neo_hookean(LAM, MU))
+    ev, Q = np.linalg.eigh(V_COUPLED)
+    root = (Q * np.sqrt(ev)) @ Q.T
+    S4 = m.analytic_S4(fld.F.reshape(-1, 3, 3))
+    c = np.stack([np.sqrt(np.linalg.eigvalsh(root @ S4[:, :, a, :, a] @ root)[:, -1])
+                  for a in range(3)], -1).reshape(fld.grid.cells + (3,))
+    assert np.abs(speeds(m) - c).max() <= 1e-12 * c.max()
 
 
 @pytest.mark.parametrize("model", [classical_model(1.0, neo_hookean(LAM, MU)),
@@ -360,16 +377,16 @@ def test_closed_form_and_contracted_S4_give_the_same_speeds_and_step(build):
     # the closed-form extremes (classical only), eig_sym of the closed-form E(e_a) and
     # eig_sym of the contracted S4 on a random 3-D field of more than one CELL_BLOCK
     m = build(neo_hookean(LAM, MU))
-    assert (m.acoustic_extremes is None) == (m.name.startswith("tensor_mass"))
-    eig = dataclasses.replace(m, acoustic_extremes=None)
+    assert (m.stress_and_extremes is None) == (m.name.startswith("tensor_mass"))
+    eig = dataclasses.replace(m, stress_and_extremes=None)
     fallback = dataclasses.replace(eig, analytic_acoustic=None)
     fld = _random_box_field()
     assert np.prod(fld.grid.cells) > CELL_BLOCK
     vroot = velocity_coefficient_root(m.V)
-    c_ref = _cell_speeds(fallback, fld, vroot)
+    c_ref = _cell_speeds(fallback, fld, vroot)[0]
     dt_ref = step_lax_friedrichs(fallback, fld, 0.9).t
     for x in (m, eig):
-        assert np.abs(_cell_speeds(x, fld, vroot) - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
+        assert np.abs(_cell_speeds(x, fld, vroot)[0] - c_ref).max() <= 1e-12 * np.abs(c_ref).max()
         assert step_lax_friedrichs(x, fld, 0.9).t == pytest.approx(dt_ref, rel=1e-12, abs=0.0)
 
 
@@ -408,6 +425,23 @@ def test_registry_wave_speeds_assemble_no_S4():
     calls.clear()  # the construction check
     run(spy, sine_wave_field(spy, Grid.line(16), "longitudinal", 0.01), t_end=0.02, cfl=0.5)
     assert calls == []
+
+
+def test_a_run_evaluates_each_monitored_energy_once_and_the_flux_stress_with_the_speeds():
+    m, calls = classical_model(1.0, neo_hookean(LAM, MU)), Counter()
+
+    def counted(name):
+        fn = getattr(m, name)
+        return lambda s: calls.update([name]) or fn(s)
+    spy = dataclasses.replace(m, energy=counted("energy"), stress=counted("stress"))
+    fld = sine_wave_field(spy, Grid.line(16), "longitudinal", 0.01)
+    calls.clear()  # the construction check and the initial field
+    out, trace = run(spy, fld, t_end=0.05, cfl=0.5, monitor_every=2)
+    monitored = len(trace.steps) - 1
+    assert trace.steps[-1] > monitored >= 2  # some steps are not monitored
+    # the initial energy, then the new field's (summed and differenced) and the old field's
+    # per monitored step; the stress only at the dissipation residual's mid-states
+    assert calls == Counter(energy=1 + 2 * monitored, stress=monitored)
 
 
 def test_tensor_mass_1d_wave_speeds():
