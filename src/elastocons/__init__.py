@@ -17,7 +17,7 @@ package provides
 
 __version__ = "0.1.0"
 
-from .tensors import det_cofactor, eig_general, eig_sym, outer
+from .tensors import det_cofactor, eig_sym, outer
 from .constitutive import (ConstitutiveModel, State,
                            StoredEnergy, classical_model,
                            corrupted_model, elasticity_map, fd_derivative,
@@ -33,9 +33,8 @@ from .admissibility import (AdmissibilityReport, RepresentationResult,
                             extract_representation, find_dissipation_violation,
                             full_report, initial_rate_check)
 from .hyperbolicity import (HyperbolicityReport, acoustic_map, acoustic_tensor,
-                            baseline_directions, eigenstructure,
-                            ellipticity_loss_bisection, fibonacci_sphere,
-                            flux_jacobian, scan_directions)
+                            baseline_directions, ellipticity_loss_bisection,
+                            fibonacci_sphere, flux_jacobian, scan_directions)
 from .solver import (Field, Grid, MonitorTrace, affine_initial_field,
                      dissipation_residual, flux, involution_residual,
                      measure_wave_speed, plane_wave_speed, rest_field, run,

@@ -99,7 +99,7 @@ def mode_admissibility(cfg: RunConfig, model: ConstitutiveModel) -> bool:
 def mode_hyperbolicity(cfg: RunConfig, model: ConstitutiveModel) -> bool:
     # a model that declares no V (only the normality and galilean controls) is scanned
     # with V = I / rho: the normality control's dv/dp vanishes at p = 0
-    V = cfg.rho if model.V is None else model.V
+    V = np.eye(3) / cfg.rho if model.V is None else model.V
     report = scan_directions(elasticity_map(model), cfg.hyp_F, V, n_dirs=cfg.n_dirs)
     _write("hyperbolicity.csv", cfg,
            "w0,w1,w2,eig1,eig2,eig3,speed1,speed2,speed3,zero_multiplicity,independent_count\n",

@@ -17,10 +17,6 @@ class Singular(ElastoconsError):
     """A tensor required to be invertible is numerically singular."""
 
 
-class ConvergenceFailure(ElastoconsError):
-    """An iterative eigenvalue computation did not converge."""
-
-
 class NewtonDivergence(ElastoconsError):
     """Damped Newton iteration failed to reduce the residual below tolerance."""
 

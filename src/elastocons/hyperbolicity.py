@@ -6,9 +6,9 @@ For a direction w and the elasticity tensor S4 = dS/dF, the acoustic tensor
 
 governs plane-wave propagation: positive definiteness of E(w) for every unit
 w is strong ellipticity of the stress map, equivalently strict rank-one
-convexity of the stored energy.  With the velocity coefficient V = dv/dp
-(symmetric positive definite; identity / rho for a scalar density rho), the
-12x12 directional flux Jacobian of the system in (F, p) has the block form
+convexity of the stored energy.  With the velocity coefficient V = dv/dp, a
+symmetric positive definite 3x3 tensor, the 12x12 directional flux Jacobian
+of the system in (F, p) has the block form
 
     M = [[0, B], [C, 0]],   B z = -(V z) (x) w,   C Z = -(S4[Z]) w,   CB = E(w) V.
 
@@ -17,7 +17,7 @@ multiplicity is 12 - rank M = 9 - rank C: six, with vanishing z-block, when
 E(w) is positive definite.  Each nonzero eigenvalue mu of V^(1/2) E(w) V^(1/2)
 gives the pair lam = +-sqrt(mu) with two independent eigenvectors, CB being
 similar to a symmetric matrix.  The direction scan classifies from these facts;
-the dense 12x12 path is the reference it is tested against.
+tests/reference.py holds the dense 12x12 classification it is tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .constitutive import elasticity_map
 from .errors import NonHyperbolicState, NotUnit
-from .tensors import EYE3, eig_general, eig_sym, sym_part
+from .tensors import EYE3, eig_sym, sym_part
 from .tolerances import DEFAULT
 
 
@@ -40,17 +40,9 @@ def _require_unit(w) -> np.ndarray:
     return w
 
 
-def _velocity_tensor(V) -> np.ndarray:
-    """V as a 3x3 tensor; a scalar rho > 0 stands for V = identity / rho."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 0 and not V > 0:
-        raise ValueError("rho must be positive")
-    return EYE3 / V if V.ndim == 0 else V.reshape(3, 3)
-
-
 def velocity_coefficient_root(V) -> np.ndarray:
     """Symmetric root V^(1/2) of V's symmetric part; NonHyperbolicState unless positive definite."""
-    evals, evecs = np.linalg.eigh(sym_part(_velocity_tensor(V)))
+    evals, evecs = np.linalg.eigh(sym_part(V))
     if float(evals.min()) <= 0.0:
         raise NonHyperbolicState(
             f"velocity coefficient not positive definite (eigenvalues {evals})")
@@ -87,83 +79,18 @@ def _c_block(S4, w) -> np.ndarray:
 
 
 def flux_jacobian(S4, V, w) -> np.ndarray:
-    """Dense 12x12 directional Jacobian of the fluxes for velocity coefficient V (or rho).
+    """Dense 12x12 directional Jacobian of the fluxes for velocity coefficient V.
 
     Row/column layout: entries 3a..3a+2 hold the a-th column of the tensor
     block Z (a = 0, 1, 2) and entries 9..11 hold the vector block z.  A stack
     of directions w[..., 3] gives a stack of Jacobians M[..., 12, 12].
     """
-    V = _velocity_tensor(V)
     w = _require_unit(w)
     M = np.zeros(w.shape[:-1] + (12, 12))
     # M[3a + i, 9 + h] = -w_a V_ih
     M[..., 0:9, 9:12] = np.reshape(-w[..., :, None, None] * V, M.shape[:-2] + (9, 3))
     M[..., 9:12, 0:9] = _c_block(S4, w)
     return M
-
-
-@dataclass
-class EigenStructure:
-    """Classified spectrum of a 12x12 flux Jacobian; array fields for a stack."""
-
-    zero_multiplicity: int          # 12 - rank, by singular-value threshold
-    eigenvalues: np.ndarray         # all 12, complex
-    nonzero: np.ndarray             # mask of the eigenvalues that are modes, not zero
-    independent_count: int          # rank of the stacked nonzero eigenvectors
-    independence_sv: float          # smallest singular value of that stack
-
-
-def eigenstructure(M) -> EigenStructure:
-    """Zero multiplicity (geometric, via rank) and the nonzero eigenvalues of M[..., n, n].
-
-    The dense reference for the block classification of :func:`scan_directions`.
-    An eigenvalue is nonzero (the mask ``nonzero``) when above the zero band and among the
-    n - a largest in modulus, a the algebraic multiplicity of 0, so no rounding split of a
-    defective zero is a mode.  One SVD of their eigenvectors (other columns zero) counts the
-    independent nonzero modes; with k nonzero eigenvalues its k-th singular value is
-    ``independence_sv``.
-    """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[-1]
-    svals = np.linalg.svd(M, compute_uv=False)
-    threshold = DEFAULT.zero_band * svals[..., :1]
-    evals = eig_general(M)[0]
-    # algebraic multiplicity of 0 by staircase reduction (Golub & Wilkinson, SIAM Review 18
-    # (1976) 578-619): deflate the numerical kernel until none is left.  Singular values,
-    # unlike the eigenvalues of a Jordan block of size m (eps^(1/m) apart), do not split.
-    P, zeros = np.eye(n), np.zeros(M.shape[:-2], dtype=int)
-    for _ in range(n):
-        _, s, vh = np.linalg.svd(P @ M @ P)
-        small = s <= threshold  # the deflated directions included
-        if np.array_equal(small.sum(-1), zeros):
-            break
-        zeros, K = small.sum(-1), vh.swapaxes(-1, -2) * small[..., None, :]
-        P = np.eye(n) - K @ K.swapaxes(-1, -2)
-    by_modulus = np.argsort(np.argsort(-np.abs(evals), axis=-1), axis=-1)
-    nonzero = (np.abs(evals) > threshold) & (by_modulus < n - zeros[..., None])
-    # the j-th copy of a nonzero eigenvalue (copies: within the zero band of the first, lam)
-    # takes the j-th smallest right singular vector of M - lam I while that singular value is
-    # in the zero band, else the smallest: a repeated eigenvalue gets orthonormal eigenvectors
-    # where LAPACK's may be nearly parallel, and a split Jordan block repeats its eigenvector
-    near = (np.abs(evals[..., :, None] - evals[..., None, :]) <= threshold[..., None]) \
-        & nonzero[..., None, :]
-    first = np.take_along_axis(evals, np.argmax(near, axis=-1), -1)
-    # only a nonzero eigenvalue's M - lam I is factored; the other rows stay zero
-    s, vh = np.zeros(nonzero.shape + (n,)), np.zeros(nonzero.shape + (n, n), first.dtype)
-    _, s[nonzero], vh[nonzero] = np.linalg.svd(
-        M[np.nonzero(nonzero)[:-1]] - first[nonzero][:, None, None] * np.eye(n))
-    pick = n - 1 - np.sum(np.tril(near, -1), axis=-1)[..., None]  # [..., eigenvalue, 1]
-    pick = np.where(np.take_along_axis(s, pick, -1) <= threshold[..., None], pick, n - 1)
-    evecs = np.take_along_axis(vh, pick[..., None], -2)[..., 0, :].conj().swapaxes(-1, -2)
-    sv = np.linalg.svd(evecs * nonzero[..., None, :], compute_uv=False)
-    kth = np.maximum(nonzero.sum(axis=-1) - 1, 0)[..., None]
-    return EigenStructure(
-        zero_multiplicity=n - np.sum(svals > threshold, axis=-1),
-        eigenvalues=evals,
-        nonzero=nonzero,
-        independent_count=np.sum(sv > DEFAULT.indep_sv_tol, axis=-1),
-        independence_sv=np.take_along_axis(sv, kth, axis=-1)[..., 0],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +146,11 @@ def scan_directions(S4_at, F, V, n_dirs: int = 256) -> HyperbolicityReport:
 
     ``S4_at`` maps a deformation gradient to the elasticity tensor; the scan
     evaluates it once at F, along ``n_dirs`` Fibonacci directions and the 26
-    cube directions, with the velocity coefficient V (or a scalar rho).  The
-    verdict ``strongly_elliptic`` certifies positivity of every sampled
-    acoustic tensor, i.e. strict rank-one convexity of the stored energy at
-    F, at scan resolution.  The mode counts come from the block form of M.
+    cube directions, with the 3x3 velocity coefficient V.  The verdict
+    ``strongly_elliptic`` certifies positivity of every sampled acoustic
+    tensor, i.e. strict rank-one convexity of the stored energy at F, at scan
+    resolution.  The mode counts come from the block form of M.
     """
-    V = _velocity_tensor(V)
     vroot = velocity_coefficient_root(V)
     S4 = np.asarray(S4_at(np.asarray(F, dtype=float)), dtype=float)
     dirs = np.vstack([fibonacci_sphere(n_dirs), baseline_directions()])

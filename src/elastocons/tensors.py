@@ -1,8 +1,8 @@
 """Dense tensor algebra in three dimensions.
 
 Vectors are numpy arrays of shape (3,) and second-order tensors (3, 3)
-(stacks of them for ``sym_part``, ``asymmetry``, ``det_cofactor`` and the
-eigensolvers).  Everything here is a pure function of its inputs; nothing is
+(stacks of them for ``sym_part``, ``asymmetry``, ``det_cofactor`` and
+``eig_sym``).  Everything here is a pure function of its inputs; nothing is
 mutated.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NonFinite, NotSymmetric
+from .errors import NonFinite, NotSymmetric
 from .tolerances import DEFAULT
 
 EYE3 = np.eye(3)
@@ -75,22 +75,3 @@ def eig_sym(M, vectors: bool = True):
         return np.linalg.eigvalsh(sym_part(M))[..., ::-1]
     evals, evecs = np.linalg.eigh(sym_part(M))
     return evals[..., ::-1].copy(), evecs[..., ::-1].copy()
-
-
-def eig_general(M):
-    """Eigenvalues and right eigenvectors of small dense real matrices.
-
-    Intended for the 12x12 directional flux Jacobian; accepts any square
-    matrix up to 16x16, or a stack M[..., n, n] of them.  Returns complex
-    eigenvalues and the matrices of right eigenvectors (one per column).
-    """
-    M = check_finite(M, "eig_general input")
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[-1] > 16:
-        raise ValueError(f"matrix of order {M.shape[-1]} exceeds the supported 16")
-    try:
-        evals, evecs = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise ConvergenceFailure(str(exc)) from exc
-    return evals, evecs

@@ -29,7 +29,8 @@ class Tolerances:
 
     # hyperbolicity analysis
     zero_band: float = 1e-8        # |lam| <= zero_band * smax counts as a zero eigenvalue
-    indep_sv_tol: float = 1e-6     # smallest singular value for "linearly independent"
+    indep_sv_tol: float = 1e-6     # smallest singular value for "linearly independent";
+                                   # read only by the dense test reference, tests/reference.py
     se_tol: float = 1e-10          # strict positivity margin for strong ellipticity
 
 

@@ -303,6 +303,24 @@ def test_cli_hyperbolicity_scans_the_built_model(tmp_path):
     assert code == 3
 
 
+def test_cli_hyperbolicity_scans_the_models_without_V_with_identity_over_rho(tmp_path):
+    # the two controls that declare no V are scanned with V = I / rho
+    for kind in ("normality", "galilean"):
+        tmp = os.path.join(str(tmp_path), kind)
+        os.mkdir(tmp)
+        cfgp = _write(tmp, FAST_ALL.replace("rho = 1", "rho = 1.5").replace(
+            "sigma = linear_isotropic", f"sigma = linear_isotropic\ncorruption = {kind}"))
+        out = os.path.join(tmp, "out")
+        assert main(["--config", cfgp, "--mode", "hyperbolicity", "--out", out, "--quiet"]) == 0
+        with open(os.path.join(out, "hyperbolicity.csv"), encoding="utf-8") as fh:
+            table = np.array([[float(x) for x in line.split(",")]
+                              for line in fh.read().splitlines()
+                              if not line.startswith("#") and not line.startswith("w0")])
+        assert len(table) == 16 + 26, kind
+        eigs, speeds = table[:, 3:6], table[:, 6:9]
+        assert (np.abs(1.5 * speeds ** 2 - eigs) <= 1e-12 * np.abs(eigs)).all(), kind
+
+
 def test_cli_monitors_have_no_nan(tmp_path):
     tmp = str(tmp_path)
     cfgp = _write(tmp, FAST_ALL)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from elastocons import (acoustic_tensor, baseline_directions, corrupted_model, eig_sym,
-                        eigenstructure, ellipticity_loss_bisection, elasticity_map,
+                        ellipticity_loss_bisection, elasticity_map,
                         fibonacci_sphere, flux_jacobian, linear_isotropic,
                         neo_hookean, outer, scan_directions,
                         st_venant_kirchhoff)
 from elastocons.errors import NonHyperbolicState, NotSymmetric, NotUnit
 from elastocons.tolerances import DEFAULT
+from reference import eigenstructure
 
 LAM, MU = 2.0, 1.0
 E1 = np.array([1.0, 0.0, 0.0])
@@ -66,7 +67,7 @@ def test_acoustic_symmetric_for_major_symmetric_input():
 
 
 def test_flux_jacobian_zero_elasticity():
-    M = flux_jacobian(np.zeros((3, 3, 3, 3)), 1.0, E1)
+    M = flux_jacobian(np.zeros((3, 3, 3, 3)), np.eye(3), E1)
     es = eigenstructure(M)
     # only the momentum-to-F blocks survive: rank 3, no propagating modes
     assert es.zero_multiplicity == 12 - np.linalg.matrix_rank(M)
@@ -79,12 +80,12 @@ def test_flux_jacobian_trace_zero():
     rng = np.random.default_rng(3)
     for _ in range(5):
         S4 = rng.normal(size=(3, 3, 3, 3))
-        M = flux_jacobian(S4, 1.7, _unit(rng))
+        M = flux_jacobian(S4, np.eye(3) / 1.7, _unit(rng))
         assert abs(np.trace(M)) <= 1e-12
 
 
 def test_flux_jacobian_isotropic_spectrum():
-    M = flux_jacobian(_iso_S4(), 1.0, E1)
+    M = flux_jacobian(_iso_S4(), np.eye(3), E1)
     es = eigenstructure(M)
     assert es.zero_multiplicity == 6
     lams = np.sort(es.eigenvalues[es.nonzero].real)
@@ -98,7 +99,7 @@ def test_nonzero_eigenvalues_in_plus_minus_pairs():
     se = st_venant_kirchhoff(LAM, MU)
     F = np.eye(3) + 0.1 * rng.uniform(-1, 1, size=(3, 3))
     dirs = np.array([_unit(rng) for _ in range(5)])
-    es = eigenstructure(flux_jacobian(se.analytic_elasticity(F), 1.2, dirs))
+    es = eigenstructure(flux_jacobian(se.analytic_elasticity(F), np.eye(3) / 1.2, dirs))
     # with the zeros in the middle, a sorted +- paired spectrum is antisymmetric
     lams = np.sort(np.where(es.nonzero, es.eigenvalues.real, 0.0), axis=-1)
     scale = np.maximum(1.0, np.abs(lams).max(axis=-1, keepdims=True))
@@ -116,7 +117,7 @@ def test_mu_equals_rho_lambda_squared():
         dirs = np.array([_unit(rng) for _ in range(5)])
         evals = eig_sym(acoustic_tensor(S4, dirs), vectors=False)
         keep = evals[:, -1] > 1e-6
-        es = eigenstructure(flux_jacobian(S4, rho, dirs[keep]))
+        es = eigenstructure(flux_jacobian(S4, np.eye(3) / rho, dirs[keep]))
         assert (es.nonzero.sum(axis=-1) == 6).all()
         mus = np.sort(rho * es.eigenvalues[es.nonzero].real.reshape(-1, 6) ** 2, axis=-1)
         expected = np.sort(np.repeat(evals[keep], 2, axis=-1), axis=-1)
@@ -131,11 +132,12 @@ def test_zero_multiplicity_six_when_positive_definite():
     S4 = se.analytic_elasticity(F)
     dirs = np.array([_unit(rng) for _ in range(10)])
     keep = eig_sym(acoustic_tensor(S4, dirs), vectors=False)[:, -1] > 1e-6
-    assert (eigenstructure(flux_jacobian(S4, 2.0, dirs[keep])).zero_multiplicity == 6).all()
+    es = eigenstructure(flux_jacobian(S4, np.eye(3) / 2.0, dirs[keep]))
+    assert (es.zero_multiplicity == 6).all()
 
 
 def test_kernel_vectors_have_vanishing_momentum_block():
-    M = flux_jacobian(_iso_S4(), 1.0, E1)
+    M = flux_jacobian(_iso_S4(), np.eye(3), E1)
     _, svals, Vt = np.linalg.svd(M)
     null_basis = Vt[np.sum(svals > 1e-8 * svals[0]):]
     assert null_basis.shape[0] == 6
@@ -155,7 +157,7 @@ def test_direction_sets():
 
 def test_scan_isotropic_strongly_elliptic():
     se = linear_isotropic(LAM, MU)
-    report = scan_directions(se.analytic_elasticity, np.eye(3), 1.0, n_dirs=64)
+    report = scan_directions(se.analytic_elasticity, np.eye(3), np.eye(3), n_dirs=64)
     assert report.strongly_elliptic
     assert report.min_eigenvalue == pytest.approx(MU, abs=1e-10)
     assert len(report.directions) == 64 + 26
@@ -166,7 +168,7 @@ def test_scan_isotropic_strongly_elliptic():
 
 def test_scan_negative_shear_modulus_fails():
     se = linear_isotropic(LAM, -1.0)
-    report = scan_directions(se.analytic_elasticity, np.eye(3), 1.0, n_dirs=16)
+    report = scan_directions(se.analytic_elasticity, np.eye(3), np.eye(3), n_dirs=16)
     assert not report.strongly_elliptic
     assert report.min_eigenvalue < 0.0
     # failed directions carry NaN speeds for the negative modes
@@ -177,19 +179,19 @@ def test_scan_negative_shear_modulus_fails():
 def test_stvk_compression_loses_ellipticity():
     se = st_venant_kirchhoff(LAM, MU)
     s4at = se.analytic_elasticity
-    assert scan_directions(s4at, np.eye(3), 1.0, n_dirs=32).strongly_elliptic
-    assert not scan_directions(s4at, 0.4 * np.eye(3), 1.0, n_dirs=32).strongly_elliptic
+    assert scan_directions(s4at, np.eye(3), np.eye(3), n_dirs=32).strongly_elliptic
+    assert not scan_directions(s4at, 0.4 * np.eye(3), np.eye(3), n_dirs=32).strongly_elliptic
     s_star = ellipticity_loss_bisection(s4at, 0.3, 1.0, n_dirs=32)
     assert 0.3 < s_star < 1.0
     # transverse acoustic branch 5 s^2 - 4 crosses zero at sqrt(4/5)
     assert s_star == pytest.approx(np.sqrt(0.8), abs=1e-6)
 
 
-def _direction_oracle(S4, rho, w):
+def _direction_oracle(S4, V, w):
     """One direction at a time: acoustic spectrum, zero multiplicity and the
     independent-mode count and margin of the 12x12 Jacobian, in plain numpy."""
     mu = np.linalg.eigh(np.einsum("ijhk,j,k->ih", S4, w, w))[0][::-1]
-    M = flux_jacobian(S4, rho, w)
+    M = flux_jacobian(S4, V, w)
     svals = np.linalg.svd(M, compute_uv=False)
     band = DEFAULT.zero_band * svals[0]
     lam, vecs = np.linalg.eig(M)
@@ -218,14 +220,15 @@ def test_scan_matches_per_direction_oracle(case):
               "neo_hookean": neo_hookean,
               "stvk_compressed": st_venant_kirchhoff}[case](LAM, MU).analytic_elasticity)
     rho = 1.3
+    V = np.eye(3) / rho
     S4 = S4_at(F)
-    report = scan_directions(S4_at, F, rho)
+    report = scan_directions(S4_at, F, V)
     dirs = np.vstack([fibonacci_sphere(256), baseline_directions()])
-    es = eigenstructure(flux_jacobian(S4, rho, dirs))
+    es = eigenstructure(flux_jacobian(S4, V, dirs))
     assert len(report.directions) == len(dirs) == 282
     assert np.array_equal(report.directions, dirs)
     for d, w in enumerate(dirs):
-        mu, zero_mult, indep, margin = _direction_oracle(S4, rho, w)
+        mu, zero_mult, indep, margin = _direction_oracle(S4, V, w)
         scale = max(1.0, float(np.abs(mu).max()))
         assert np.abs(report.eigenvalues[d] - mu).max() <= 1e-13 * scale
         speeds = np.sqrt(np.where(mu >= 0.0, mu, np.nan) / rho)
@@ -308,15 +311,16 @@ def test_scan_refuses_a_velocity_coefficient_without_real_speeds():
     S4_at = linear_isotropic(LAM, MU).analytic_elasticity
     with pytest.raises(NonHyperbolicState):
         scan_directions(S4_at, np.eye(3), np.diag([1.0, -1.0, 1.0]), n_dirs=4)
-    with pytest.raises(ValueError):
-        scan_directions(S4_at, np.eye(3), 0.0, n_dirs=4)
+    with pytest.raises(NonHyperbolicState):
+        scan_directions(S4_at, np.eye(3), 0.0 * np.eye(3), n_dirs=4)
 
 
 def test_scan_pairs_the_modes_at_a_singular_acoustic_tensor():
     # lambda + 2 mu = 0: E(w) has eigenvalues (0, -1, -1) in every direction, so
     # two nonzero +- pairs with two eigenvectors each, whatever roundoff leaves
     # in the zero eigenvalue
-    report = scan_directions(linear_isotropic(2.0, -1.0).analytic_elasticity, np.eye(3), 1.0)
+    report = scan_directions(linear_isotropic(2.0, -1.0).analytic_elasticity, np.eye(3),
+                             np.eye(3))
     assert len(report.directions) == 256 + 26
     assert report.independent_count.tolist() == [4] * 282
 
@@ -326,9 +330,9 @@ def test_dense_reference_does_not_count_a_split_defective_zero():
     # which rounding splits into three eigenvalues of about 4e-7 with nearly parallel
     # eigenvectors; they are not modes, so the dense count is the scan's 4 everywhere
     S4 = linear_isotropic(2.0, -1.0).analytic_elasticity(np.eye(3))
-    report = scan_directions(lambda _: S4, np.eye(3), 1.0)
+    report = scan_directions(lambda _: S4, np.eye(3), np.eye(3))
     dirs = np.vstack([fibonacci_sphere(256), baseline_directions()])
-    es = eigenstructure(flux_jacobian(S4, 1.0, dirs))
+    es = eigenstructure(flux_jacobian(S4, np.eye(3), dirs))
     assert es.independent_count.tolist() == report.independent_count.tolist()
     assert es.zero_multiplicity.tolist() == report.zero_multiplicity.tolist()
 
@@ -343,7 +347,8 @@ def test_dense_reference_counts_a_repeated_eigenvalue_whatever_the_rounding():
     Q = Q * np.sign(np.diag(R))
     S4 = linear_isotropic(LAM, MU).analytic_elasticity(np.eye(3))
     rotated = np.einsum("ai,bj,ch,dk,abcd->ijhk", Q, Q, Q, Q, S4)
-    es, ref = (eigenstructure(flux_jacobian(S, 8.965733765739847, baseline_directions()))
+    es, ref = (eigenstructure(flux_jacobian(S, np.eye(3) / 8.965733765739847,
+                                                 baseline_directions()))
                for S in (rotated, S4))
     assert es.independent_count.tolist() == ref.independent_count.tolist() == [6] * 26
     assert np.abs(es.independence_sv - ref.independence_sv).max() <= 1e-12
